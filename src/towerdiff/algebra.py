@@ -80,12 +80,6 @@ class AlgebraElement:
     def constant_part(self) -> RatFun:
         return self.terms.get((), RatFun.zero(self.spec))
 
-    def is_ratfun(self) -> bool:
-        return self.level == 0
-
-    def exponent(self, key, i) -> int:
-        return key[i] if i < len(key) else 0
-
     def __add__(self, other):
         other = self._coerce(other)
         merged = dict(self.terms)
@@ -231,14 +225,13 @@ def alg_pow(steps, a: AlgebraElement, n: int) -> AlgebraElement:
 class LevelData:
     """Ramification data of one tower step above a fixed K-place."""
 
-    __slots__ = ("kind", "n", "e_step", "weight", "soft", "v_level", "jump")
+    __slots__ = ("kind", "n", "e_step", "weight", "v_level", "jump")
 
-    def __init__(self, kind, n, e_step, weight, soft, v_level, jump):
+    def __init__(self, kind, n, e_step, weight, v_level, jump):
         self.kind = kind
         self.n = n  # n_i for Kummer, p for Artin-Schreier
         self.e_step = e_step
         self.weight = weight  # v(y_i) in the final normalization of the chain
-        self.soft = soft  # weight is a generic minimum, not pinned
         self.v_level = v_level  # v_{p_i}(y_i) in the level-i normalization
         self.jump = jump
 

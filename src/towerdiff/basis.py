@@ -67,10 +67,6 @@ def gamma_indices(d: TowerDescriptor):
             yield mu
 
 
-def excluded_index(d: TowerDescriptor) -> tuple:
-    return tuple(0 if s.kind == "kummer" else s.degree - 1 for s in d.steps)
-
-
 class BasisElement:
     """x^nu g^{-1} y^mu dx with g kept in factored form (place, exponent)."""
 
@@ -181,7 +177,9 @@ def holomorphy_check(d: TowerDescriptor, b: BasisElement, seed: int = 0, profile
     """Independent oracle: nonnegative differential valuation everywhere it matters.
 
     Checks every ramified tracked place, every place in the support of the
-    coefficient, and infinity; never consults t^mu.
+    coefficient, and infinity; never consults t^mu. profile may map further
+    places to their tracked chains: places already in it are not walked again,
+    so a caller checking many elements can walk infinity and (x) once.
     """
     if profile is None:
         profile = analyze(d, seed)

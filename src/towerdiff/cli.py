@@ -15,8 +15,10 @@ from . import jsonio
 from .basis import enumerate_basis, holomorphy_check
 from .errors import InvariantViolation, ParseError, TowerDiffError
 from .galois import action_matrix, cyclic_decomposition, nilpotency_check
+from .places import Place
+from .poly import Poly
 from .standard_form import as_weak_standard_form, kummer_standard_form
-from .tower import StepSpec, analyze, genus, genus_stepwise, validate
+from .tower import StepSpec, analyze, genus_stepwise, tracked_place, validate
 
 
 def _emit(doc, pretty: bool) -> None:
@@ -56,11 +58,8 @@ def cmd_analyze(args) -> int:
 
 def cmd_genus(args) -> int:
     d = _load(args)
-    if args.assume_uniform:
-        g = genus(d, args.seed, analyze(d, args.seed, check=False))
-    else:
-        g = genus(d, args.seed)
-    _emit({"genus": g, "stepwise": genus_stepwise(d, args.seed)}, args.pretty)
+    stepwise = genus_stepwise(d, args.seed)
+    _emit({"genus": stepwise[-1], "stepwise": stepwise}, args.pretty)
     return 0
 
 
@@ -70,8 +69,17 @@ def cmd_basis(args) -> int:
     basis = enumerate_basis(d, args.seed, profile)
     doc = jsonio.basis_to_json(basis, pretty=args.pretty)
     if args.check:
+        # one map of walked places for the whole basis: the oracle walks only
+        # the places missing from it, and every g-factor place is in the profile
+        places = dict(profile)
+        extra = [Place.infinite(d.field)]
+        if any(b.nu > 0 for b in basis):
+            extra.append(Place.finite(Poly.x(d.field)))
+        for P in extra:
+            if P not in places:
+                places[P] = tracked_place(d, P)
         for rec, b in zip(doc, basis):
-            ok = holomorphy_check(d, b, args.seed, profile)
+            ok = holomorphy_check(d, b, args.seed, places)
             rec["check"] = ok
             if not ok:
                 _emit(doc, args.pretty)

@@ -71,10 +71,6 @@ class NonIntegralInvariant(InvariantViolation):
     code = "non_integral_invariant"
 
 
-class SplittingUndetermined(TowerDiffError):
-    code = "splitting_undetermined"
-
-
 class ClosureFailure(InvariantViolation):
     code = "closure_failure"
 

@@ -246,18 +246,6 @@ class FieldElement:
         return str(list(self.coeffs))
 
 
-def ff_arith(a: FieldElement, b: FieldElement, op: str) -> FieldElement:
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ParseError(f"unknown field operation {op!r}")
-
-
 def ff_pth_root(a: FieldElement) -> FieldElement:
     return a.pth_root()
 

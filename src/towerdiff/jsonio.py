@@ -9,6 +9,8 @@ inputs give byte-identical output.
 
 from __future__ import annotations
 
+import json
+
 from .algebra import AlgebraElement
 from .basis import BasisElement
 from .errors import ParseError
@@ -161,21 +163,38 @@ def matrix_to_json(m):
 
 
 # ---------------------------------------------------------------- decoding
+# Decoders check JSON types before any value reaches the arithmetic, so a
+# type-confused document is a ParseError rather than a TypeError.
+
+def _int(doc, what: str) -> int:
+    if type(doc) is not int:  # JSON true/false decode to bool, a subclass of int
+        raise ParseError(f"{what}: expected an integer, got {json.dumps(doc)}")
+    return doc
+
+
+def _int_list(doc, what: str) -> list[int]:
+    if not isinstance(doc, list):
+        raise ParseError(f"{what}: expected an array of integers, got {json.dumps(doc)}")
+    return [_int(v, what) for v in doc]
+
 
 def field_spec_from_json(doc) -> FieldSpec:
     if not isinstance(doc, dict) or "p" not in doc:
         raise ParseError("field: expected an object with at least 'p'")
-    return FieldSpec(doc["p"], doc.get("h", 1), doc.get("modulus"))
-
-
-def element_from_json(spec: FieldSpec, doc) -> FieldElement:
-    return spec.element(doc)
+    modulus = doc.get("modulus")
+    if modulus is not None:
+        modulus = _int_list(modulus, "field modulus")
+    return FieldSpec(_int(doc["p"], "field p"), _int(doc.get("h", 1), "field h"), modulus)
 
 
 def poly_from_json(spec: FieldSpec, doc) -> Poly:
     if not isinstance(doc, list):
         raise ParseError("polynomial: expected a coefficient array")
-    return Poly(spec, [spec.element(c) for c in doc])
+    coeffs = [
+        _int_list(c, "coefficient") if isinstance(c, list) else _int(c, "coefficient")
+        for c in doc
+    ]
+    return Poly(spec, [spec.element(c) for c in coeffs])
 
 
 def ratfun_from_json(spec: FieldSpec, doc) -> RatFun:
@@ -206,17 +225,20 @@ def algebra_from_json(spec: FieldSpec, doc) -> AlgebraElement:
         raise ParseError("algebra element: expected a list of terms")
     terms = {}
     for i, rec in enumerate(doc):
-        if "exps" not in rec or "num" not in rec:
-            raise ParseError(f"algebra element term {i}: missing 'exps' or 'num'")
+        if not isinstance(rec, dict) or "exps" not in rec or "num" not in rec:
+            raise ParseError(f"algebra element term {i}: expected an object with 'exps' and 'num'")
         coeff = ratfun_from_json(spec, {"num": rec["num"], "den": rec.get("den", [1])})
-        terms[tuple(rec["exps"])] = coeff
+        terms[tuple(_int_list(rec["exps"], f"algebra element term {i} exps"))] = coeff
     return AlgebraElement(spec, terms)
 
 
 def step_from_json(spec: FieldSpec, doc) -> StepSpec:
     if not isinstance(doc, dict) or "kind" not in doc or "c" not in doc:
         raise ParseError("step: expected {'kind': ..., 'c': ...}")
-    return StepSpec(doc["kind"], algebra_from_json(spec, doc["c"]), doc.get("n"))
+    n = doc.get("n")
+    if n is not None:
+        n = _int(n, "step n")
+    return StepSpec(doc["kind"], algebra_from_json(spec, doc["c"]), n)
 
 
 def descriptor_from_json(doc) -> TowerDescriptor:
@@ -224,6 +246,8 @@ def descriptor_from_json(doc) -> TowerDescriptor:
         raise ParseError("descriptor: expected a JSON object")
     if "field" not in doc or "steps" not in doc:
         raise ParseError("descriptor: missing 'field' or 'steps'")
+    if not isinstance(doc["steps"], list):
+        raise ParseError("descriptor: 'steps' must be an array")
     spec = field_spec_from_json(doc["field"])
     steps = [step_from_json(spec, s) for s in doc["steps"]]
     return TowerDescriptor(spec, steps)

@@ -81,18 +81,11 @@ class ResidueField:
     def reduce(self, f: Poly) -> Poly:
         return f % self.modulus
 
-    def embed(self, c) -> Poly:
-        """Image of a constant-field element."""
-        return Poly.constant(self.spec, c)
-
     def zero(self) -> Poly:
         return Poly.zero(self.spec)
 
     def one(self) -> Poly:
         return Poly.one(self.spec)
-
-    def add(self, a: Poly, b: Poly) -> Poly:
-        return self.reduce(a + b)
 
     def sub(self, a: Poly, b: Poly) -> Poly:
         return self.reduce(a - b)

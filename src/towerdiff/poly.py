@@ -12,7 +12,7 @@ import hashlib
 import random
 
 from .errors import DivisionByZero, FieldMismatch, ParseError, ZeroArgument
-from .ff import FieldElement, FieldSpec
+from .ff import FieldElement, FieldSpec, _prime_factors
 
 
 class Poly:
@@ -208,20 +208,6 @@ def poly_ext_gcd(a: Poly, b: Poly):
     return r0.monic(), s0 * c, t0 * c
 
 
-def poly_arith(a: Poly, b: Poly, op: str):
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "divmod":
-        return divmod(a, b)
-    if op == "gcd":
-        return poly_gcd(a, b)
-    raise ParseError(f"unknown polynomial operation {op!r}")
-
-
 def poly_pow_mod(base: Poly, n: int, mod: Poly) -> Poly:
     result = Poly.one(base.spec)
     base = base % mod
@@ -403,18 +389,7 @@ def is_irreducible(f: Poly) -> bool:
     q = spec.q
     n = f.degree
     x = Poly.x(spec)
-    primes = set()
-    m = n
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            primes.add(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        primes.add(m)
-    for ell in sorted(primes):
+    for ell in _prime_factors(n):
         h = poly_pow_mod(x, q ** (n // ell), f) - x
         if poly_gcd(h, f).degree != 0:
             return False

@@ -7,7 +7,7 @@ lives in the algebra of the levels below its step.
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, prod
 
 from .algebra import (
     AlgebraElement,
@@ -30,7 +30,7 @@ from .places import Place
 class StepSpec:
     """One cyclic step: kummer(n) with y^n = c, or artin_schreier with y^p - y = c."""
 
-    __slots__ = ("kind", "n", "c", "_alg")
+    __slots__ = ("kind", "n", "c")
 
     def __init__(self, kind: str, c, n: int | None = None):
         if kind not in ("kummer", "artin_schreier"):
@@ -56,7 +56,6 @@ class StepSpec:
         self.kind = kind
         self.n = n
         self.c = c
-        self._alg = c
 
     @property
     def spec(self) -> FieldSpec:
@@ -73,7 +72,7 @@ class StepSpec:
     def c_algebra(self, spec: FieldSpec) -> AlgebraElement:
         if spec != self.c.spec:
             raise FieldMismatch("step over the wrong constant field")
-        return self._alg
+        return self.c
 
     def __repr__(self):
         head = f"kummer(n={self.n})" if self.kind == "kummer" else "artin_schreier"
@@ -117,16 +116,19 @@ class TowerDescriptor:
 
 
 def candidate_places(d: TowerDescriptor, seed: int = 0):
-    """Finite K-places in the support of any defining element, plus infinity."""
-    finite = {}
+    """Finite K-places in the support of any defining element, plus infinity.
+
+    factorize certifies its factors irreducible, so Place.finite's test is skipped.
+    """
+    finite = set()
     for step in d.steps:
         for coeff in step.c.terms.values():
             for poly in (coeff.num, coeff.den):
                 if poly.degree < 1:
                     continue
                 for irr, _ in factorize(poly, seed).factors:
-                    finite.setdefault(irr, Place.finite(irr))
-    places = sorted(finite.values(), key=lambda P: P.sort_key())
+                    finite.add(Place(irr.spec, irr))
+    places = sorted(finite, key=lambda P: P.sort_key())
     places.append(Place.infinite(d.field))
     return places
 
@@ -154,7 +156,7 @@ def _walk_place(d: TowerDescriptor, P: Place):
                     lv.weight *= e_step
                 e_total *= e_step
             levels.append(
-                LevelData("kummer", n, e_step, weight, False, weight, 1 if e_step > 1 else None)
+                LevelData("kummer", n, e_step, weight, weight, 1 if e_step > 1 else None)
             )
         else:
             p = step.p
@@ -166,10 +168,10 @@ def _walk_place(d: TowerDescriptor, P: Place):
                     lv.weight *= p
                 e_total *= p
                 levels.append(
-                    LevelData("artin_schreier", p, p, v_c, False, v_c, 1 - v_c)
+                    LevelData("artin_schreier", p, p, v_c, v_c, 1 - v_c)
                 )
             else:
-                levels.append(LevelData("artin_schreier", p, 1, 0, True, 0, None))
+                levels.append(LevelData("artin_schreier", p, 1, 0, 0, None))
         rec["e_step"] = levels[-1].e_step
         records.append(rec)
         if rec["anomaly"]:
@@ -208,6 +210,11 @@ class ValidationReport:
 
 def validate(d: TowerDescriptor, seed: int = 0) -> ValidationReport:
     """Runs every structural assumption check; failures are report entries."""
+    return _judge(d, {P: _walk_place(d, P) for P in candidate_places(d, seed)})
+
+
+def _judge(d: TowerDescriptor, walks: dict) -> ValidationReport:
+    """The assumption checks, read off {P: _walk_place(d, P)} over the candidate places."""
     checks = []
     # (a) roots of unity for each Kummer degree
     bad = [
@@ -236,8 +243,6 @@ def validate(d: TowerDescriptor, seed: int = 0) -> ValidationReport:
             "" if not bad else f"unreduced exponents at (step, level) {bad}",
         )
     )
-    places = candidate_places(d, seed)
-    walks = {P: _walk_place(d, P) for P in places}
     p = d.field.p
     # (c) Artin-Schreier standard form at every place
     bad = []
@@ -340,19 +345,21 @@ def tracked_place(d: TowerDescriptor, P: Place) -> TrackedPlace:
 
 
 def analyze(d: TowerDescriptor, seed: int = 0, check: bool = True) -> dict:
-    """Ramification profile: tracked chains for every ramified K-place."""
+    """Ramification profile: tracked chains for every ramified K-place.
+
+    Each candidate place is walked once; validation judges those same walks.
+    """
     if check:
-        report = validate(d, seed)
+        walks = {P: _walk_place(d, P) for P in candidate_places(d, seed)}
+        report = _judge(d, walks)
         if not report.passed:
             raise ValidationFailed(
                 "; ".join(repr(c) for c in report.failed_checks())
             )
-    out = {}
-    for P in candidate_places(d, seed):
-        tp = tracked_place(d, P)
-        if tp.ramified:
-            out[P] = tp
-    return out
+        chains = [tp for tp, _ in walks.values()]
+    else:
+        chains = [tracked_place(d, P) for P in candidate_places(d, seed)]
+    return {tp.base: tp for tp in chains if tp.ramified}
 
 
 def genus(d: TowerDescriptor, seed: int = 0, profile: dict | None = None) -> int:
@@ -373,5 +380,17 @@ def genus(d: TowerDescriptor, seed: int = 0, profile: dict | None = None) -> int
 
 
 def genus_stepwise(d: TowerDescriptor, seed: int = 0) -> list[int]:
-    """Genus of each partial tower L_1, ..., L_r, by truncation."""
-    return [genus(d.truncate(i), seed) for i in range(1, d.r + 1)]
+    """Genus of each partial tower L_1, ..., L_r, from one analysis of L_r.
+
+    Level k of a walk depends only on the levels below it, so the chain in L_i
+    is the first i levels of the chain in L_r, up to weights genus never reads.
+    """
+    profile = analyze(d, seed)
+    out = []
+    for i in range(1, d.r + 1):
+        partial = {}
+        for P, tp in profile.items():
+            levels = tp.levels[:i]
+            partial[P] = TrackedPlace(P, levels, prod(lv.e_step for lv in levels))
+        out.append(genus(d.truncate(i), seed, partial))
+    return out

@@ -31,6 +31,12 @@ def fixtures():
     return {name: load_fixture(name) for name in FIXTURE_NAMES}
 
 
+@pytest.fixture(scope="session")
+def suite():
+    """The 200 validated random towers of the acceptance criteria."""
+    return random_towers(200)
+
+
 # ------------------------------------------------- randomized tower factory
 
 _FIELDS = [

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from conftest import load_fixture, random_towers
+from conftest import load_fixture
 from towerdiff.algebra import AlgebraElement, alg_mul, valuation
 from towerdiff.basis import (
     BasisElement,
@@ -43,11 +43,6 @@ ALL_FIXTURES = [
     "hermitian_p3",
     "mixed_tower_f3",
 ]
-
-
-@pytest.fixture(scope="module")
-def suite():
-    return random_towers(200)
 
 
 def report(n, text):

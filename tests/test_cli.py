@@ -3,6 +3,8 @@
 import json
 from importlib import resources
 
+import pytest
+
 from towerdiff import jsonio
 from towerdiff.cli import main
 from towerdiff.ff import FieldSpec
@@ -121,3 +123,32 @@ def test_cli_emitted_basis_reparses(capsys, fixtures):
     d = fixtures["mixed_tower_f3"]
     basis = jsonio.basis_from_json(d.field, json.loads(out))
     assert jsonio.basis_to_json(basis) == json.loads(out)
+
+
+def test_cli_genus_assume_uniform_still_validates(capsys, tmp_path):
+    # y^2 = x^2 is not primitive; --assume-uniform does not skip validation
+    # for genus, so this is bad input (exit 1), not an internal fault (exit 2)
+    f = tmp_path / "square.json"
+    f.write_text(json.dumps({"field": {"p": 5}, "steps": [{"kind": "kummer", "n": 2, "c": [0, 0, 1]}]}))
+    for flags in ([], ["--assume-uniform"]):
+        code, out = run(capsys, "genus", *flags, "--input", str(f))
+        assert code == 1
+        assert json.loads(out)["error"] == "validation_failed"
+
+
+@pytest.mark.parametrize(
+    "field, step",
+    [
+        ({"p": "3"}, {"kind": "kummer", "n": 2, "c": [0, 1]}),
+        ({"p": 5}, {"kind": "kummer", "n": "2", "c": [0, 1]}),
+        ({"p": 5}, {"kind": "kummer", "n": 2, "c": [0.5, 1]}),
+        ({"p": 5}, {"kind": "kummer", "n": 2, "c": [None]}),
+        ({"p": 5}, {"kind": "kummer", "n": 2, "c": [{"exps": "a", "num": [0, 1]}]}),
+    ],
+)
+def test_cli_type_confused_descriptor_is_a_parse_error(capsys, tmp_path, field, step):
+    f = tmp_path / "typed.json"
+    f.write_text(json.dumps({"field": field, "steps": [step]}))
+    code, out = run(capsys, "validate", "--input", str(f))
+    assert code == 1
+    assert json.loads(out)["error"] == "parse_error"

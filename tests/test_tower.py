@@ -1,7 +1,13 @@
 """Tower validation checks, ramification profiles, and the genus formula."""
 
+import json
+from collections import Counter
+from importlib import resources
+
 import pytest
 
+from towerdiff import tower
+from towerdiff.cli import main
 from towerdiff.errors import ParseError, ValidationFailed, ZeroArgument
 from towerdiff.ff import FieldSpec
 from towerdiff.places import Place
@@ -10,6 +16,7 @@ from towerdiff.tower import (
     StepSpec,
     TowerDescriptor,
     analyze,
+    candidate_places,
     genus,
     genus_stepwise,
     tracked_place,
@@ -130,3 +137,40 @@ def test_genus_matches_degree_one_riemann_hurwitz():
         f = f * (x - Poly.constant(F7, a))
     d = TowerDescriptor(F7, [StepSpec("kummer", f, 2)])
     assert genus(d) == 2
+
+
+def test_genus_stepwise_matches_reanalysis_of_truncations(fixtures, suite):
+    # genus_stepwise reads truncations off one walk of the full tower; the
+    # oracle analyzes each truncated tower from scratch
+    towers = list(fixtures.values()) + [d for d in suite if d.r >= 2]
+    for d in towers:
+        assert genus_stepwise(d) == [genus(d.truncate(i)) for i in range(1, d.r + 1)], d
+
+
+def _count_walks(monkeypatch):
+    counts = Counter()
+    walk = tower._walk_place
+
+    def counting(d, P):
+        counts[P] += 1
+        return walk(d, P)
+
+    monkeypatch.setattr(tower, "_walk_place", counting)
+    return counts
+
+
+def test_analyze_walks_each_candidate_place_once(fixtures, monkeypatch):
+    counts = _count_walks(monkeypatch)
+    for name, d in fixtures.items():
+        counts.clear()
+        analyze(d)
+        assert counts == Counter(candidate_places(d)), name
+
+
+def test_basis_check_walks_infinity_once_for_the_oracle(monkeypatch, capsys):
+    # once inside analyze, once for the oracle's map; not once per element
+    counts = _count_walks(monkeypatch)
+    path = resources.files("towerdiff") / "fixtures" / "artin_mumford_p3.json"
+    assert main(["basis", "--check", "--input", str(path)]) == 0
+    assert len(json.loads(capsys.readouterr().out)) == 4
+    assert counts[Place.infinite(F3)] == 2
