@@ -155,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument(
             "--assume-uniform",
             action="store_true",
-            help="skip the validation pass before analysis",
+            help="skip the validation pass (analyze and basis only)",
         )
         if name == "basis":
             cmd.add_argument(
