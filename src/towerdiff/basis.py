@@ -118,10 +118,10 @@ class BasisElement:
         return f"BasisElement({self.pretty()})"
 
 
-def invariant_table(d: TowerDescriptor, profile: dict | None = None, seed: int = 0):
+def invariant_table(d: TowerDescriptor, profile: dict | None = None):
     """(profile, {mu: t^mu}) over the whole exponent box including the excluded corner."""
     if profile is None:
-        profile = analyze(d, seed)
+        profile = analyze(d)
     bounds = [s.degree for s in d.steps]
     table = {}
     for mu in product(*(range(b) for b in bounds)):
@@ -129,10 +129,10 @@ def invariant_table(d: TowerDescriptor, profile: dict | None = None, seed: int =
     return profile, table
 
 
-def enumerate_basis(d: TowerDescriptor, seed: int = 0, profile: dict | None = None):
+def enumerate_basis(d: TowerDescriptor, profile: dict | None = None):
     """All basis differentials, ordered by mu lexicographically, then nu."""
     if profile is None:
-        profile = analyze(d, seed)
+        profile = analyze(d)
     out = []
     for mu in sorted(gamma_indices(d)):
         t = t_mu(profile, mu)
@@ -173,7 +173,7 @@ def monomial_differential_valuation(tp: TrackedPlace, b: BasisElement) -> int:
     return v + tp.different_exponent
 
 
-def holomorphy_check(d: TowerDescriptor, b: BasisElement, seed: int = 0, profile: dict | None = None) -> bool:
+def holomorphy_check(d: TowerDescriptor, b: BasisElement, profile: dict | None = None) -> bool:
     """Independent oracle: nonnegative differential valuation everywhere it matters.
 
     Checks every ramified tracked place, every place in the support of the
@@ -182,12 +182,12 @@ def holomorphy_check(d: TowerDescriptor, b: BasisElement, seed: int = 0, profile
     so a caller checking many elements can walk infinity and (x) once.
     """
     if profile is None:
-        profile = analyze(d, seed)
+        profile = analyze(d)
     spec = d.field
     places = {P: tp for P, tp in profile.items()}
     support = [P for P, _ in b.g_factors]
     if b.nu > 0:
-        support.append(Place.finite(Poly.x(spec)))
+        support.append(Place(spec, Poly.x(spec)))
     support.append(Place.infinite(spec))
     for P in support:
         if P not in places:
@@ -203,7 +203,7 @@ def _single_step(d: TowerDescriptor) -> None:
         raise ParseError("single-step enumerator applied to a taller tower")
 
 
-def enumerate_basis_single_as(d: TowerDescriptor, seed: int = 0):
+def enumerate_basis_single_as(d: TowerDescriptor):
     """One Artin-Schreier step: the direct pole-bound recipe.
 
     For y^p - y = g/prod p_i^{v_i} the count at exponent mu uses
@@ -214,7 +214,7 @@ def enumerate_basis_single_as(d: TowerDescriptor, seed: int = 0):
     if step.kind != "artin_schreier":
         raise ParseError("expected an Artin-Schreier step")
     p = step.p
-    profile = analyze(d, seed)
+    profile = analyze(d)
     ram = sorted(
         (P for P in profile if not P.is_infinite), key=lambda P: P.sort_key()
     )
@@ -232,7 +232,7 @@ def enumerate_basis_single_as(d: TowerDescriptor, seed: int = 0):
     return out
 
 
-def enumerate_basis_single_kummer(d: TowerDescriptor, seed: int = 0):
+def enumerate_basis_single_kummer(d: TowerDescriptor):
     """One Kummer step y^n = f: the classical superelliptic recipe.
 
     With f = alpha*prod p_i^{v_i}, 0 < v_i < n, and n | deg f, the count at
@@ -249,7 +249,7 @@ def enumerate_basis_single_kummer(d: TowerDescriptor, seed: int = 0):
         raise ParseError("expected a polynomial defining element")
     if c.num.degree % n != 0:
         raise ParseError("degree of the defining polynomial must be divisible by n")
-    profile = analyze(d, seed)
+    profile = analyze(d)
     ram = sorted(
         (P for P in profile if not P.is_infinite), key=lambda P: P.sort_key()
     )

@@ -1,8 +1,8 @@
 """Command-line front end: JSON descriptors in, JSON reports out.
 
-Exit codes: 0 success, 1 parse/validation failure, 2 internal invariant
-violation. Output is canonical (sorted keys, fixed separators) so identical
-inputs give byte-identical results.
+Exit codes: 0 success, 1 usage, parse or validation failure, 2 internal
+invariant violation. Output is canonical (sorted keys, fixed separators) so
+identical inputs give byte-identical results.
 """
 
 from __future__ import annotations
@@ -44,29 +44,29 @@ def _load(args):
 
 def cmd_validate(args) -> int:
     d = _load(args)
-    report = validate(d, args.seed)
+    report = validate(d)
     _emit(jsonio.validation_to_json(report), args.pretty)
     return 0 if report.passed else 1
 
 
 def cmd_analyze(args) -> int:
     d = _load(args)
-    profile = analyze(d, args.seed, check=not args.assume_uniform)
+    profile = analyze(d)
     _emit(jsonio.profile_to_json(profile), args.pretty)
     return 0
 
 
 def cmd_genus(args) -> int:
     d = _load(args)
-    stepwise = genus_stepwise(d, args.seed)
+    stepwise = genus_stepwise(d)
     _emit({"genus": stepwise[-1], "stepwise": stepwise}, args.pretty)
     return 0
 
 
 def cmd_basis(args) -> int:
     d = _load(args)
-    profile = analyze(d, args.seed, check=not args.assume_uniform)
-    basis = enumerate_basis(d, args.seed, profile)
+    profile = analyze(d)
+    basis = enumerate_basis(d, profile)
     doc = jsonio.basis_to_json(basis, pretty=args.pretty)
     if args.check:
         # one map of walked places for the whole basis: the oracle walks only
@@ -74,12 +74,12 @@ def cmd_basis(args) -> int:
         places = dict(profile)
         extra = [Place.infinite(d.field)]
         if any(b.nu > 0 for b in basis):
-            extra.append(Place.finite(Poly.x(d.field)))
+            extra.append(Place(d.field, Poly.x(d.field)))
         for P in extra:
             if P not in places:
                 places[P] = tracked_place(d, P)
         for rec, b in zip(doc, basis):
-            ok = holomorphy_check(d, b, args.seed, places)
+            ok = holomorphy_check(d, b, places)
             rec["check"] = ok
             if not ok:
                 _emit(doc, args.pretty)
@@ -90,7 +90,7 @@ def cmd_basis(args) -> int:
 
 def cmd_decompose(args) -> int:
     d = _load(args)
-    report = cyclic_decomposition(d, args.seed)
+    report = cyclic_decomposition(d)
     doc = jsonio.decomposition_to_json(report)
     doc["nilpotency"] = nilpotency_check(d)
     _emit(doc, args.pretty)
@@ -104,10 +104,10 @@ def cmd_standardform(args) -> int:
     if step.c.level != 0:
         raise ParseError("standardform expects a step defined over the base field")
     if step.kind == "kummer":
-        out, chain = kummer_standard_form(c, step.n, args.seed)
+        out, chain = kummer_standard_form(c, step.n)
         normalized = StepSpec("kummer", out, step.n)
     else:
-        out, chain = as_weak_standard_form(c, seed=args.seed)
+        out, chain = as_weak_standard_form(c)
         normalized = StepSpec("artin_schreier", out)
     _emit(
         {
@@ -125,7 +125,7 @@ def cmd_act(args) -> int:
         h = [int(part) for part in args.element.split(",")]
     except ValueError:
         raise ParseError(f"--element expects comma-separated integers, got {args.element!r}")
-    m = action_matrix(d, h, args.seed)
+    m = action_matrix(d, h)
     _emit({"matrix": jsonio.matrix_to_json(m)}, args.pretty)
     return 0
 
@@ -141,8 +141,15 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as parse_error (exit 1) rather than exiting with 2."""
+
+    def error(self, message):
+        raise ParseError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="towerdiff",
         description="Exact invariants of cyclic-step function field towers",
     )
@@ -151,12 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name)
         cmd.add_argument("--input", default="-", help="descriptor file (default stdin)")
         cmd.add_argument("--pretty", action="store_true", help="indented, annotated output")
-        cmd.add_argument("--seed", type=int, default=0, help="factorization seed")
-        cmd.add_argument(
-            "--assume-uniform",
-            action="store_true",
-            help="skip the validation pass (analyze and basis only)",
-        )
         if name == "basis":
             cmd.add_argument(
                 "--check", action="store_true", help="run the holomorphy oracle"
@@ -171,15 +172,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = None
     try:
+        args = build_parser().parse_args(argv)
         return COMMANDS[args.command](args)
-    except InvariantViolation as exc:
-        _emit({"error": exc.code, "detail": str(exc)}, getattr(args, "pretty", False))
-        return 2
     except TowerDiffError as exc:
         _emit({"error": exc.code, "detail": str(exc)}, getattr(args, "pretty", False))
-        return 1
+        return 2 if isinstance(exc, InvariantViolation) else 1
 
 
 if __name__ == "__main__":

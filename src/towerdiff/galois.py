@@ -35,7 +35,7 @@ def _constant_of(coeff: RatFun) -> FieldElement:
     return coeff.num.leading() / coeff.den.leading()
 
 
-def action_matrix(d: TowerDescriptor, h, seed: int = 0, profile=None):
+def action_matrix(d: TowerDescriptor, h, profile=None):
     """Matrix of the automorphism sigma_1^{h_1}...sigma_r^{h_r} on the basis.
 
     Entry (i, j) is the coefficient of basis element i in the image of basis
@@ -44,8 +44,8 @@ def action_matrix(d: TowerDescriptor, h, seed: int = 0, profile=None):
     elements; anything else aborts.
     """
     if profile is None:
-        profile = analyze(d, seed)
-    basis = enumerate_basis(d, seed, profile)
+        profile = analyze(d)
+    basis = enumerate_basis(d, profile)
     index = {(b.mu, b.nu): i for i, b in enumerate(basis)}
     lam = {}
     for mu in gamma_indices(d):
@@ -175,7 +175,7 @@ def _cyclic_shape(d: TowerDescriptor):
     return n, t
 
 
-def cyclic_decomposition(d: TowerDescriptor, seed: int = 0) -> DecompositionReport:
+def cyclic_decomposition(d: TowerDescriptor) -> DecompositionReport:
     """Multiplicities d_mu of the indecomposables for cyclic G of order p^t * n.
 
     Case analysis on mu_p with the invariant table; the top multiplicity
@@ -185,9 +185,9 @@ def cyclic_decomposition(d: TowerDescriptor, seed: int = 0) -> DecompositionRepo
     """
     n, t = _cyclic_shape(d)
     p = d.field.p
-    profile = analyze(d, seed)
-    _, table = invariant_table(d, profile, seed)
-    g = genus(d, seed, profile)
+    profile = analyze(d)
+    _, table = invariant_table(d, profile)
+    g = genus(d, profile)
     t_unr = 0  # every validated wild step ramifies somewhere
 
     has_tame = d.steps[0].kind == "kummer"
@@ -252,7 +252,7 @@ def cyclic_decomposition(d: TowerDescriptor, seed: int = 0) -> DecompositionRepo
     return report
 
 
-def submodule_generators(d: TowerDescriptor, mu, nu: int, seed: int = 0, profile=None):
+def submodule_generators(d: TowerDescriptor, mu, nu: int, profile=None):
     """Generators theta of the submodule attached to the basis element (mu, nu).
 
     theta_{mu'} = x^nu g_mu^{-1} y^{mu'} dx for every mu' below mu in the
@@ -260,11 +260,11 @@ def submodule_generators(d: TowerDescriptor, mu, nu: int, seed: int = 0, profile
     prod(mu_i + 1) over the wild levels and is stable under the action.
     """
     if profile is None:
-        profile = analyze(d, seed)
+        profile = analyze(d)
     mu = tuple(mu)
     if len(mu) != d.r:
         raise ParseError("exponent vector length must match the tower height")
-    basis_keys = {(b.mu, b.nu) for b in enumerate_basis(d, seed, profile)}
+    basis_keys = {(b.mu, b.nu) for b in enumerate_basis(d, profile)}
     if (mu, nu) not in basis_keys:
         raise ParseError(f"(mu={mu}, nu={nu}) does not index a basis element")
     spec = d.field

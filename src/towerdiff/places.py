@@ -81,9 +81,6 @@ class ResidueField:
     def reduce(self, f: Poly) -> Poly:
         return f % self.modulus
 
-    def zero(self) -> Poly:
-        return Poly.zero(self.spec)
-
     def one(self) -> Poly:
         return Poly.one(self.spec)
 

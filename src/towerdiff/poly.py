@@ -1,9 +1,9 @@
 """Univariate polynomials and rational functions over k = F_{p^h}.
 
 Provides exact ring arithmetic, gcd, complete factorization into monic
-irreducibles (square-free split, then distinct-degree, then seeded
-equal-degree splitting), and a constructive weak approximant with
-prescribed valuations.
+irreducibles (square-free split, then distinct-degree, then equal-degree
+splitting with random trials drawn from the input alone), and a
+constructive weak approximant with prescribed valuations.
 """
 
 from __future__ import annotations
@@ -150,12 +150,6 @@ class Poly:
             self.spec,
             [self.spec.element(i) * c for i, c in enumerate(self.coeffs)][1:],
         )
-
-    def evaluate(self, a: FieldElement) -> FieldElement:
-        acc = self.spec.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * a + c
-        return acc
 
     def __eq__(self, other):
         if isinstance(other, (int, FieldElement)):
@@ -361,15 +355,18 @@ def _canonical_bytes(f: Poly) -> bytes:
     return ",".join(str(v) for v in parts).encode()
 
 
-def factorize(f: Poly, seed: int = 0) -> Factorization:
-    """Complete factorization into monic irreducibles, reproducible for a given seed."""
+def factorize(f: Poly) -> Factorization:
+    """Complete factorization into monic irreducibles.
+
+    The factors are unique; the random splitting trials are drawn from a stream
+    seeded by f itself, so the work done for a given f is reproducible too.
+    """
     if f.is_zero():
         raise ZeroArgument("cannot factor the zero polynomial")
     spec = f.spec
     unit = f.leading()
-    digest = hashlib.blake2b(
-        _canonical_bytes(f) + b"|" + str(seed).encode(), digest_size=8
-    ).digest()
+    # the "|0" suffix keeps the trials, and so the running time, of earlier versions
+    digest = hashlib.blake2b(_canonical_bytes(f) + b"|0", digest_size=8).digest()
     rng = random.Random(int.from_bytes(digest, "big"))
     factors: dict[Poly, int] = {}
     for g, mult in _squarefree_parts(f):

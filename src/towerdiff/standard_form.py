@@ -77,13 +77,23 @@ def _as_ratfun(r) -> RatFun:
     return RatFun(r) if isinstance(r, Poly) else r
 
 
-def _pole_data(r: RatFun, seed: int = 0):
+def _pole_data(r: RatFun):
     """[(finite Place, negative valuation)] from the denominator factorization."""
     out = []
     if r.den.degree > 0:
-        for irr, mult in factorize(r.den, seed).factors:
-            out.append((Place.finite(irr), -mult))
+        for irr, mult in factorize(r.den).factors:
+            out.append((Place(irr.spec, irr), -mult))
     return out
+
+
+def _finite_valuations(c: RatFun) -> dict:
+    """{finite Place: v_P(c)} over the places in the support of c."""
+    vals = {}
+    for poly, sign in ((c.num, 1), (c.den, -1)):
+        if poly.degree > 0:
+            for irr, mult in factorize(poly).factors:
+                vals[Place(irr.spec, irr)] = sign * mult
+    return vals
 
 
 def _finite_correction(r: RatFun, P: Place, v: int) -> RatFun:
@@ -107,7 +117,7 @@ def _infinite_correction(r: RatFun, v: int) -> RatFun:
     return RatFun(Poly.x(spec) ** (m // spec.p) * Poly.constant(spec, c))
 
 
-def as_weak_standard_form(r: RatFun, unramified_keep=(), seed: int = 0):
+def as_weak_standard_form(r: RatFun, unramified_keep=()):
     """Shifts y until every pole order of the defining element is coprime to p.
 
     Pole orders divisible by p are fake ramification; each pass peels the
@@ -120,11 +130,12 @@ def as_weak_standard_form(r: RatFun, unramified_keep=(), seed: int = 0):
     if r.is_zero():
         raise NotAnASExtension("the zero element defines no extension")
     chain = SubstitutionChain()
-    guard = 2 * sum(-v for _, v in _pole_data(r, seed))
+    poles = _pole_data(r)
+    guard = 2 * sum(-v for _, v in poles)
     guard += 2 * max(0, r.num.degree - r.den.degree) + 8
     for _ in range(guard):
         bad = None
-        for P, v in _pole_data(r, seed):
+        for P, v in poles:
             if v % p == 0:
                 bad = ("finite", P, v)
                 break
@@ -140,6 +151,7 @@ def as_weak_standard_form(r: RatFun, unramified_keep=(), seed: int = 0):
         chain.add_shift(w)
         if r.is_zero():
             raise NotAnASExtension("defining element is of the form w^p - w")
+        poles = _pole_data(r)
     else:
         raise InvariantViolation("weak standard form did not terminate")
     if r.num.degree <= 0 and r.den.degree == 0:
@@ -172,7 +184,7 @@ def _crt_polys(residues_moduli) -> Poly:
     return out % modulus
 
 
-def as_zero_normal(r: RatFun, keep=(), seed: int = 0):
+def as_zero_normal(r: RatFun, keep=()):
     """Pins the valuation at each kept unramified place to exactly zero.
 
     Partitions the kept places by sign and residue image, corrects with a
@@ -228,7 +240,7 @@ def _is_unit_power(spec: FieldSpec, unit: FieldElement, d: int) -> bool:
     return unit ** ((spec.q - 1) // g) == spec.one()
 
 
-def kummer_standard_form(c: RatFun, n: int, seed: int = 0):
+def kummer_standard_form(c: RatFun, n: int):
     """Folds all finite valuations of c into [0, n) by an exact n-th power.
 
     Output valuations: in [0, n) at finite places, untouched residue class
@@ -243,11 +255,7 @@ def kummer_standard_form(c: RatFun, n: int, seed: int = 0):
         raise ParseError("need n >= 2")
     if gcd(n, spec.p) != 1:
         raise NotCoprimeToCharacteristic(f"{n} is divisible by the characteristic")
-    vals = {}
-    for poly, sign in ((c.num, 1), (c.den, -1)):
-        if poly.degree > 0:
-            for irr, mult in factorize(poly, seed).factors:
-                vals[Place.finite(irr)] = sign * mult
+    vals = _finite_valuations(c)
     unit = c.num.leading()
     for d in {f for f in range(2, n + 1) if n % f == 0}:
         if all(v % d == 0 for v in vals.values()) and _is_unit_power(spec, unit, d):
@@ -272,7 +280,7 @@ def kummer_standard_form(c: RatFun, n: int, seed: int = 0):
     return out, chain
 
 
-def compositum_to_tower(components, seed: int = 0) -> TowerDescriptor:
+def compositum_to_tower(components) -> TowerDescriptor:
     """Orders standard-form cyclic components over K into one tower.
 
     Artin-Schreier components come first and may not share ramified places;
@@ -292,11 +300,12 @@ def compositum_to_tower(components, seed: int = 0) -> TowerDescriptor:
     seen_ram: dict[Place, int] = {}
     for idx, s in enumerate(as_comps):
         c = s.c.constant_part()
-        ram = [P for P, v in _pole_data(c, seed)]
+        poles = _pole_data(c)
+        ram = [P for P, _ in poles]
         v_inf = c.den.degree - c.num.degree
         if v_inf < 0:
             ram.append(Place.infinite(spec))
-        for P, v in _pole_data(c, seed):
+        for P, v in poles:
             if v % spec.p == 0:
                 raise ValidationFailed(
                     f"component {idx + 1} is not in standard form at {P}"
@@ -311,11 +320,7 @@ def compositum_to_tower(components, seed: int = 0) -> TowerDescriptor:
     for idx, s in enumerate(ku_comps):
         c = s.c.constant_part()
         n = s.n
-        vals = {}
-        for poly, sign in ((c.num, 1), (c.den, -1)):
-            if poly.degree > 0:
-                for irr, mult in factorize(poly, seed).factors:
-                    vals[Place.finite(irr)] = sign * mult
+        vals = _finite_valuations(c)
         for P, v in vals.items():
             if not 0 <= v < n:
                 raise ValidationFailed(
@@ -363,7 +368,7 @@ class MergeResult:
 
 
 def elementary_abelian_merge(
-    a1: RatFun, z: RatFun, m1: FieldElement, m2: FieldElement, n: int, seed: int = 0
+    a1: RatFun, z: RatFun, m1: FieldElement, m2: FieldElement, n: int
 ) -> MergeResult:
     """y1^p - y1 = a1 + m1 z^n over K(y2) with y2^p - y2 = m2 z.
 
@@ -382,8 +387,8 @@ def elementary_abelian_merge(
         raise ZeroArgument("unit coefficients must be nonzero")
     if z.is_zero():
         raise ZeroArgument("z must be nonzero")
-    a1_poles = {P for P, _ in _pole_data(a1, seed)} if not a1.is_zero() else set()
-    z_poles = {P for P, _ in _pole_data(z, seed)}
+    a1_poles = {P for P, _ in _pole_data(a1)} if not a1.is_zero() else set()
+    z_poles = {P for P, _ in _pole_data(z)}
     if not a1.is_zero() and a1.den.degree - a1.num.degree < 0:
         a1_poles.add(Place.infinite(spec))
     if z.den.degree - z.num.degree < 0:

@@ -115,7 +115,7 @@ class TowerDescriptor:
         return f"TowerDescriptor(F_{self.field.q}, {self.steps})"
 
 
-def candidate_places(d: TowerDescriptor, seed: int = 0):
+def candidate_places(d: TowerDescriptor):
     """Finite K-places in the support of any defining element, plus infinity.
 
     factorize certifies its factors irreducible, so Place.finite's test is skipped.
@@ -126,7 +126,7 @@ def candidate_places(d: TowerDescriptor, seed: int = 0):
             for poly in (coeff.num, coeff.den):
                 if poly.degree < 1:
                     continue
-                for irr, _ in factorize(poly, seed).factors:
+                for irr, _ in factorize(poly).factors:
                     finite.add(Place(irr.spec, irr))
     places = sorted(finite, key=lambda P: P.sort_key())
     places.append(Place.infinite(d.field))
@@ -208,9 +208,9 @@ class ValidationReport:
         return "ValidationReport(" + "; ".join(map(repr, self.checks)) + ")"
 
 
-def validate(d: TowerDescriptor, seed: int = 0) -> ValidationReport:
+def validate(d: TowerDescriptor) -> ValidationReport:
     """Runs every structural assumption check; failures are report entries."""
-    return _judge(d, {P: _walk_place(d, P) for P in candidate_places(d, seed)})
+    return _judge(d, {P: _walk_place(d, P) for P in candidate_places(d)})
 
 
 def _judge(d: TowerDescriptor, walks: dict) -> ValidationReport:
@@ -344,28 +344,22 @@ def tracked_place(d: TowerDescriptor, P: Place) -> TrackedPlace:
     return tp
 
 
-def analyze(d: TowerDescriptor, seed: int = 0, check: bool = True) -> dict:
+def analyze(d: TowerDescriptor) -> dict:
     """Ramification profile: tracked chains for every ramified K-place.
 
     Each candidate place is walked once; validation judges those same walks.
     """
-    if check:
-        walks = {P: _walk_place(d, P) for P in candidate_places(d, seed)}
-        report = _judge(d, walks)
-        if not report.passed:
-            raise ValidationFailed(
-                "; ".join(repr(c) for c in report.failed_checks())
-            )
-        chains = [tp for tp, _ in walks.values()]
-    else:
-        chains = [tracked_place(d, P) for P in candidate_places(d, seed)]
-    return {tp.base: tp for tp in chains if tp.ramified}
+    walks = {P: _walk_place(d, P) for P in candidate_places(d)}
+    report = _judge(d, walks)
+    if not report.passed:
+        raise ValidationFailed("; ".join(repr(c) for c in report.failed_checks()))
+    return {P: tp for P, (tp, _) in walks.items() if tp.ramified}
 
 
-def genus(d: TowerDescriptor, seed: int = 0, profile: dict | None = None) -> int:
+def genus(d: TowerDescriptor, profile: dict | None = None) -> int:
     """Riemann-Hurwitz over K with the aggregate different exponents."""
     if profile is None:
-        profile = analyze(d, seed)
+        profile = analyze(d)
     n = d.degree()
     total = 0
     for P, tp in profile.items():
@@ -379,18 +373,18 @@ def genus(d: TowerDescriptor, seed: int = 0, profile: dict | None = None) -> int
     return g
 
 
-def genus_stepwise(d: TowerDescriptor, seed: int = 0) -> list[int]:
+def genus_stepwise(d: TowerDescriptor) -> list[int]:
     """Genus of each partial tower L_1, ..., L_r, from one analysis of L_r.
 
     Level k of a walk depends only on the levels below it, so the chain in L_i
     is the first i levels of the chain in L_r, up to weights genus never reads.
     """
-    profile = analyze(d, seed)
+    profile = analyze(d)
     out = []
     for i in range(1, d.r + 1):
         partial = {}
         for P, tp in profile.items():
             levels = tp.levels[:i]
             partial[P] = TrackedPlace(P, levels, prod(lv.e_step for lv in levels))
-        out.append(genus(d.truncate(i), seed, partial))
+        out.append(genus(d.truncate(i), partial))
     return out

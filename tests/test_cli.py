@@ -125,15 +125,36 @@ def test_cli_emitted_basis_reparses(capsys, fixtures):
     assert jsonio.basis_to_json(basis) == json.loads(out)
 
 
-def test_cli_genus_assume_uniform_still_validates(capsys, tmp_path):
-    # y^2 = x^2 is not primitive; --assume-uniform does not skip validation
-    # for genus, so this is bad input (exit 1), not an internal fault (exit 2)
+@pytest.mark.parametrize("command", ["analyze", "genus", "basis"])
+def test_cli_invalid_tower_is_a_validation_failure(capsys, tmp_path, command):
+    # y^2 = x^2 is not primitive: bad input (exit 1), not an internal fault (exit 2)
     f = tmp_path / "square.json"
     f.write_text(json.dumps({"field": {"p": 5}, "steps": [{"kind": "kummer", "n": 2, "c": [0, 0, 1]}]}))
-    for flags in ([], ["--assume-uniform"]):
-        code, out = run(capsys, "genus", *flags, "--input", str(f))
-        assert code == 1
-        assert json.loads(out)["error"] == "validation_failed"
+    code, out = run(capsys, command, "--input", str(f))
+    assert code == 1
+    assert json.loads(out)["error"] == "validation_failed"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["genus", "--seed", "3"],
+        ["basis", "--assume-uniform"],
+        ["genus", "--bogus"],
+        ["act"],
+    ],
+)
+def test_cli_usage_error_is_a_parse_error(capsys, argv):
+    code, out = run(capsys, *argv, "--input", fixture_path("artin_mumford_p3"))
+    assert code == 1
+    assert json.loads(out)["error"] == "parse_error"
+
+
+def test_cli_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "usage" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,17 @@
 """Places, residue fields, and the additive image membership test."""
 
+import json
+from importlib import resources
+
 import pytest
 
+from towerdiff import places
+from towerdiff.cli import main
 from towerdiff.errors import InfinitePlaceUnsupported, NegativeValuation, ParseError
 from towerdiff.ff import FieldSpec
 from towerdiff.places import Place, ResidueField, artin_schreier_image_test, residue
 from towerdiff.poly import Poly, RatFun
+from towerdiff.standard_form import as_weak_standard_form, kummer_standard_form
 
 F3 = FieldSpec(3)
 F9 = FieldSpec(3, 2, [1, 0, 1])
@@ -76,3 +82,39 @@ def test_as_image_witness_over_extension_constants():
     status, w = artin_schreier_image_test(rf, t)
     assert status == "in_image"
     assert rf.sub(rf.mul(rf.mul(w, w), w), w) == t
+
+
+def _count_irreducibility_tests(monkeypatch):
+    calls = []
+    test = places.is_irreducible
+
+    def counting(f):
+        calls.append(f)
+        return test(f)
+
+    monkeypatch.setattr(places, "is_irreducible", counting)
+    return calls
+
+
+def test_normal_forms_take_factorize_factors_as_places(monkeypatch):
+    # factorize certifies its factors irreducible; no place built from them is retested
+    calls = _count_irreducibility_tests(monkeypatch)
+    x = Poly.x(F3)
+    one = Poly.one(F3)
+    q = x**2 + one  # irreducible over F_3
+    c = RatFun(x**3 * (x - one) * q**2, (x + one) ** 2)
+    out, _ = kummer_standard_form(c, 2)
+    assert out == RatFun(x * (x - one))
+    r = RatFun(one, x**3) + RatFun(one, (x - one) ** 2) + RatFun(x, q)
+    out, chain = as_weak_standard_form(r)
+    assert len(chain) == 1 and chain.replay_artin_schreier(r) == out
+    assert calls == []
+
+
+def test_basis_check_retests_no_place(monkeypatch, capsys):
+    calls = _count_irreducibility_tests(monkeypatch)
+    path = resources.files("towerdiff") / "fixtures" / "artin_mumford_p3.json"
+    assert main(["basis", "--check", "--input", str(path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert any(rec["nu"] > 0 for rec in doc)
+    assert calls == []
