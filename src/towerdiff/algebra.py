@@ -7,6 +7,9 @@ Valuations at tracked places use the strict-triangle minimum over terms.
 
 from __future__ import annotations
 
+from itertools import product
+from math import comb
+
 from .errors import (
     FieldMismatch,
     ParseError,
@@ -331,7 +334,15 @@ def apply_automorphism(d, a: AlgebraElement, h) -> AlgebraElement:
 
     Kummer generators scale, y_i -> zeta^{h_i} y_i; Artin-Schreier ones
     shift, y_i -> y_i + h_i. Requires each moved level to be absent from
-    every defining element c_j.
+    every defining element c_j: then sigma fixes every c_j, so it preserves
+    the relations and acts on each y_i alone. The image of a monomial is
+    therefore the closed form
+
+        sigma(y^mu) = prod_{Kummer i} zeta^{h_i mu_i} y_i^{mu_i}
+                      * prod_{Artin-Schreier i} sum_k C(mu_i, k) h_i^{mu_i - k} y_i^k
+
+    with constant coefficients (C(mu_i, k) mod p). Its terms are reduced
+    once, which on reduced input only merges them.
     """
     steps = d.steps
     spec = d.field
@@ -347,21 +358,27 @@ def apply_automorphism(d, a: AlgebraElement, h) -> AlgebraElement:
                 raise UnsupportedAction(
                     f"defining element of step {j + 1} involves the moved generator y{i + 1}"
                 )
-    # per-generator images, then expand monomial by monomial
-    images = []
+    p = spec.p
+    # per level: the Kummer scale zeta^{h_i} in F_q, or the shift h_i in F_p
+    moves = []
     for i, step in enumerate(steps):
         hi = h[i] % _step_bound(step)
-        if step.kind == "kummer":
-            zeta = spec.nth_root_of_unity(step.n)
-            images.append(AlgebraElement.monomial(spec, [0] * i + [1], RatFun.constant(spec, zeta**hi)))
-        else:
-            y = AlgebraElement.monomial(spec, [0] * i + [1])
-            images.append(y + AlgebraElement.from_ratfun(RatFun.constant(spec, hi)))
-    out = AlgebraElement.zero(spec)
+        moves.append(spec.nth_root_of_unity(step.n) ** hi if step.kind == "kummer" else hi)
+
+    def image_of_power(i: int, e: int):
+        """[(k, c)] with sigma(y_i^e) = sum of c y_i^k, zero terms dropped."""
+        if steps[i].kind == "kummer":
+            return [(e, moves[i] ** e)]
+        binomial = ((k, comb(e, k) * pow(moves[i], e - k, p) % p) for k in range(e + 1))
+        return [(k, spec.element(c)) for k, c in binomial if c]
+
+    raw = []
     for exps, coeff in a.terms.items():
-        term = AlgebraElement.from_ratfun(coeff)
-        for i, e in enumerate(exps):
-            if e:
-                term = alg_mul(steps, term, alg_pow(steps, images[i], e))
-        out = out + term
-    return out
+        if len(exps) > len(steps):
+            raise ParseError("exponent beyond the tower height")
+        for choice in product(*(image_of_power(i, e) for i, e in enumerate(exps))):
+            c = spec.one()
+            for _, ck in choice:
+                c = c * ck
+            raw.append((tuple(k for k, _ in choice), coeff * RatFun.constant(spec, c)))
+    return reduce_terms(steps, spec, raw)

@@ -35,6 +35,36 @@ def _constant_of(coeff: RatFun) -> FieldElement:
     return coeff.num.leading() / coeff.den.leading()
 
 
+def _shifted_image(d: TowerDescriptor, h, lam, mu):
+    """[(mu2, l, c)]: sigma(g_mu^{-1} y^mu) = sum of c x^l g_mu2^{-1} y^mu2.
+
+    So sigma maps w_{mu,nu} to the sum of c w_{mu2,nu+l}, for every nu.
+    """
+    spec = d.field
+    out = []
+    img = apply_automorphism(d, AlgebraElement.monomial(spec, mu), h)
+    for exps, coeff in img.terms.items():
+        mu2 = tuple(exps) + (0,) * (d.r - len(exps))
+        c0 = _constant_of(coeff)
+        if mu2 not in lam:
+            raise ClosureFailure(f"image index {mu2} outside the basis index set")
+        hpoly = Poly.one(spec)
+        for P, l2 in lam[mu2].items():
+            diff = l2 - lam[mu].get(P, 0)
+            if diff < 0:
+                raise ClosureFailure(
+                    f"pole bookkeeping fails: lambda drops at {P} for {mu} -> {mu2}"
+                )
+            hpoly = hpoly * P.poly**diff
+        for P, l1 in lam[mu].items():
+            if P not in lam[mu2] and l1 > 0:
+                raise ClosureFailure(
+                    f"pole bookkeeping fails: lambda drops at {P} for {mu} -> {mu2}"
+                )
+        out.extend((mu2, l, c0 * bl) for l, bl in enumerate(hpoly.coeffs) if not bl.is_zero())
+    return out
+
+
 def action_matrix(d: TowerDescriptor, h, profile=None):
     """Matrix of the automorphism sigma_1^{h_1}...sigma_r^{h_r} on the basis.
 
@@ -53,40 +83,18 @@ def action_matrix(d: TowerDescriptor, h, profile=None):
     spec = d.field
     zero = spec.zero()
     m = [[zero for _ in basis] for _ in basis]
-    done_mu = {}
+    shifted = {}
     for j, b in enumerate(basis):
-        if b.mu not in done_mu:
-            mono = AlgebraElement.monomial(spec, b.mu)
-            done_mu[b.mu] = apply_automorphism(d, mono, h)
-        img = done_mu[b.mu]
-        for exps, coeff in img.terms.items():
-            mu2 = tuple(exps) + (0,) * (d.r - len(exps))
-            c0 = _constant_of(coeff)
-            if mu2 not in lam:
-                raise ClosureFailure(f"image index {mu2} outside the basis index set")
-            hpoly = Poly.one(spec)
-            for P, l2 in lam[mu2].items():
-                diff = l2 - lam[b.mu].get(P, 0)
-                if diff < 0:
-                    raise ClosureFailure(
-                        f"pole bookkeeping fails: lambda drops at {P} for {b.mu} -> {mu2}"
-                    )
-                hpoly = hpoly * P.poly**diff
-            for P, l1 in lam[b.mu].items():
-                if P not in lam[mu2] and l1 > 0:
-                    raise ClosureFailure(
-                        f"pole bookkeeping fails: lambda drops at {P} for {b.mu} -> {mu2}"
-                    )
-            for l, bl in enumerate(hpoly.coeffs):
-                if bl.is_zero():
-                    continue
-                target = index.get((mu2, b.nu + l))
-                if target is None:
-                    raise ClosureFailure(
-                        f"image term (mu={mu2}, nu={b.nu + l}) of basis element "
-                        f"{b.pretty()} leaves the basis"
-                    )
-                m[target][j] = m[target][j] + c0 * bl
+        if b.mu not in shifted:
+            shifted[b.mu] = _shifted_image(d, h, lam, b.mu)
+        for mu2, l, c in shifted[b.mu]:
+            target = index.get((mu2, b.nu + l))
+            if target is None:
+                raise ClosureFailure(
+                    f"image term (mu={mu2}, nu={b.nu + l}) of basis element "
+                    f"{b.pretty()} leaves the basis"
+                )
+            m[target][j] = m[target][j] + c
     return m
 
 

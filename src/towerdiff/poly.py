@@ -408,10 +408,11 @@ class RatFun:
         if num.is_zero():
             den = Poly.one(num.spec)
         else:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num = num // g
-                den = den // g
+            if den.degree > 0:
+                g = poly_gcd(num, den)
+                if g.degree > 0:
+                    num = num // g
+                    den = den // g
             lead = den.leading()
             if lead != den.spec.one():
                 inv = Poly.constant(den.spec, lead.inverse())

@@ -1,5 +1,7 @@
 """Quotient algebra arithmetic, tracked valuations, automorphism action."""
 
+from itertools import product
+
 import pytest
 
 from towerdiff.algebra import (
@@ -10,8 +12,10 @@ from towerdiff.algebra import (
     differential_valuation,
     valuation,
 )
-from towerdiff.errors import UnsupportedAction, ValuationAmbiguous, ZeroArgument
+from towerdiff.basis import enumerate_basis
+from towerdiff.errors import ParseError, UnsupportedAction, ValuationAmbiguous, ZeroArgument
 from towerdiff.ff import FieldSpec
+from towerdiff.galois import submodule_generators
 from towerdiff.places import Place
 from towerdiff.poly import Poly, RatFun
 from towerdiff.tower import StepSpec, TowerDescriptor, tracked_place
@@ -150,3 +154,51 @@ def test_automorphism_rejects_dependent_levels():
     y1 = AlgebraElement.monomial(F3, (1,))
     with pytest.raises(UnsupportedAction):
         apply_automorphism(d, y1, [1, 0])
+
+
+def square_and_multiply_image(d, a, h):
+    """sigma(a) from the images of the y_i raised by alg_pow, multiplied by alg_mul."""
+    spec = d.field
+    images = []
+    for i, step in enumerate(d.steps):
+        y = AlgebraElement.monomial(spec, [0] * i + [1])
+        if step.kind == "kummer":
+            images.append(y.scale(RatFun.constant(spec, spec.nth_root_of_unity(step.n) ** h[i])))
+        else:
+            images.append(y + h[i])
+    out = AlgebraElement.zero(spec)
+    for exps, coeff in a.terms.items():
+        term = AlgebraElement.from_ratfun(coeff)
+        for i, e in enumerate(exps):
+            term = alg_mul(d.steps, term, alg_pow(d.steps, images[i], e))
+        out = out + term
+    return out
+
+
+def test_automorphism_closed_form_matches_square_and_multiply(fixtures):
+    # exponents up to step degree + 1 leave the reduced range on purpose
+    cases = 0
+    for name, d in fixtures.items():
+        spec = d.field
+        x = Poly.x(spec)
+        one = Poly.one(spec)
+        coeff = RatFun(x + one, x * x + x + one + one)
+        elements = [
+            AlgebraElement.monomial(spec, mu, coeff) + x
+            for mu in product(*(range(s.degree + 2) for s in d.steps))
+        ]
+        if name == "mixed_tower_f3":
+            elements += [
+                g for b in enumerate_basis(d) for g in submodule_generators(d, b.mu, b.nu)
+            ]
+        for h in product((0, 1), repeat=d.r):
+            for a in elements:
+                assert apply_automorphism(d, a, h) == square_and_multiply_image(d, a, h), (name, h, a)
+                cases += 1
+    assert cases > 128
+
+
+def test_automorphism_exponent_beyond_tower_height(fixtures):
+    d = fixtures["mixed_tower_f3"]
+    with pytest.raises(ParseError, match="beyond the tower height"):
+        apply_automorphism(d, AlgebraElement.monomial(d.field, (0, 0, 1)), [1, 0])

@@ -86,6 +86,15 @@ def test_ratfun_normal_form():
     assert r.den == one  # reduced and monic
 
 
+def test_ratfun_constant_denominator_is_made_monic():
+    x = x_of(F5)
+    one = Poly.one(F5)
+    r = RatFun(x + one, Poly.constant(F5, 3))
+    assert r.den == one
+    assert r.num == Poly.constant(F5, 2) * (x + one)  # 1/3 = 2 in F_5
+    assert RatFun(Poly.zero(F5), Poly.constant(F5, 3)).den == one
+
+
 def test_ratfun_valuations():
     x = x_of(F5)
     one = Poly.one(F5)
