@@ -172,14 +172,23 @@ class DecompositionReport:
 
 
 def _cyclic_shape(d: TowerDescriptor):
-    """(n, t): one optional leading Kummer step, then an Artin-Schreier chain."""
+    """(n, t): one optional leading Kummer step, then at most one Artin-Schreier step.
+
+    Artin-Schreier steps over k(x) generate (Z/p)^t, which is not cyclic
+    for t >= 2, so such towers are refused.
+    """
     kinds = [s.kind for s in d.steps]
     if kinds.count("kummer") > 1:
         raise UnsupportedAction("cyclic decomposition needs at most one tame step")
     if "kummer" in kinds and kinds[0] != "kummer":
         raise UnsupportedAction("cyclic decomposition expects the tame step first")
-    n = d.steps[0].n if kinds[0] == "kummer" else 1
     t = kinds.count("artin_schreier")
+    if t >= 2:
+        raise UnsupportedAction(
+            f"cyclic decomposition needs at most one Artin-Schreier step; "
+            f"{t} of them generate (Z/p)^{t}, which is not cyclic"
+        )
+    n = d.steps[0].n if kinds[0] == "kummer" else 1
     return n, t
 
 
@@ -201,16 +210,8 @@ def cyclic_decomposition(d: TowerDescriptor) -> DecompositionReport:
     has_tame = d.steps[0].kind == "kummer"
     gamma = set(gamma_indices(d))
 
-    def full_index(mu_p: int, mu_ku: int):
-        digits = []
-        m = mu_p
-        for _ in range(t):
-            m, rdig = divmod(m, p)
-            digits.append(rdig)
-        return ((mu_ku,) if has_tame else ()) + tuple(digits)
-
     def tval(mu_p: int, mu_ku: int) -> int:
-        return table[full_index(mu_p, mu_ku)]
+        return table[(mu_ku,) * has_tame + (mu_p,)]
 
     def delta_flag(mu_p: int, mu_ku: int) -> int:
         return 1 if tval(mu_p, mu_ku) == 0 else 0

@@ -7,7 +7,9 @@ import pytest
 
 from towerdiff import jsonio
 from towerdiff.cli import main
+from towerdiff.errors import UnsupportedAction
 from towerdiff.ff import FieldSpec
+from towerdiff.galois import cyclic_decomposition
 
 F3 = FieldSpec(3)
 
@@ -84,6 +86,26 @@ def test_cli_decompose(capsys):
         {"dim": 2, "mu_p": 2, "mu_tame": [], "multiplicity": 1}
     ]
     assert doc["nilpotency"] is True
+
+
+def test_cli_decompose_refuses_elementary_abelian_group(capsys, tmp_path):
+    # y1^5 - y1 = 1/x, y2^5 - y2 = 1/(x - 1) over F_5: the group is (Z/5)^2
+    desc = {
+        "field": {"p": 5, "h": 1},
+        "steps": [
+            {"kind": "artin_schreier", "c": {"num": [1], "den": [0, 1]}},
+            {"kind": "artin_schreier", "c": {"num": [1], "den": [4, 1]}},
+        ],
+    }
+    with pytest.raises(UnsupportedAction):
+        cyclic_decomposition(jsonio.descriptor_from_json(desc))
+    path = tmp_path / "z5_squared.json"
+    path.write_text(json.dumps(desc))
+    code, out = run(capsys, "validate", "--input", str(path))
+    assert code == 0
+    code, out = run(capsys, "decompose", "--input", str(path))
+    assert code == 1
+    assert json.loads(out)["error"] == "unsupported_action"
 
 
 def test_cli_act(capsys):
