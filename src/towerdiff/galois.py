@@ -80,8 +80,7 @@ def action_matrix(d: TowerDescriptor, h, profile=None):
     lam = {}
     for mu in gamma_indices(d):
         lam[mu] = _lambda_map(profile, mu)
-    spec = d.field
-    zero = spec.zero()
+    zero = d.field.zero()
     m = [[zero for _ in basis] for _ in basis]
     shifted = {}
     for j, b in enumerate(basis):
