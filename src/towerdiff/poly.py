@@ -112,20 +112,45 @@ class Poly:
     __rmul__ = __mul__
 
     def __divmod__(self, other):
+        """Schoolbook long division: (q, r) with self = q*other + r and deg r < deg other.
+
+        One loop updates the remainder in place in a plain list, from the top
+        coefficient down, with a single inverse of the divisor's leading
+        coefficient. On a prime field the list holds the residues mod p as ints;
+        on an extension field it holds FieldElements. Only the returned quotient
+        and remainder are built as Poly. Division in F_q[x] is unique, so the
+        result equals that of subtracting one shifted multiple per quotient term.
+        """
         other = self._check(other)
         if other.is_zero():
             raise DivisionByZero("polynomial division by zero")
-        q = Poly.zero(self.spec)
-        r = self
-        inv = other.leading().inverse()
+        spec = self.spec
         d = other.degree
-        while not r.is_zero() and r.degree >= d:
-            shift = r.degree - d
-            coef = r.leading() * inv
-            t = Poly(self.spec, [self.spec.zero()] * shift + [coef])
-            q = q + t
-            r = r - t * other
-        return q, r
+        if self.degree < d:
+            return Poly.zero(spec), self
+        inv = other.leading().inverse()
+        q = [0] * (self.degree - d + 1)
+        if spec.h == 1:
+            p = spec.p
+            inv = inv.coeffs[0]
+            r = [c.coeffs[0] for c in self.coeffs]
+            lower = [(j, c.coeffs[0]) for j, c in enumerate(other.coeffs[:-1]) if c.coeffs[0]]
+            for k in range(len(q) - 1, -1, -1):
+                c = r[k + d] * inv % p
+                if c:
+                    q[k] = c
+                    for j, b in lower:
+                        r[k + j] = (r[k + j] - c * b) % p
+        else:
+            r = list(self.coeffs)
+            lower = [(j, c) for j, c in enumerate(other.coeffs[:-1]) if not c.is_zero()]
+            for k in range(len(q) - 1, -1, -1):
+                c = r[k + d] * inv
+                if not c.is_zero():
+                    q[k] = c
+                    for j, b in lower:
+                        r[k + j] = r[k + j] - c * b
+        return Poly(spec, q), Poly(spec, r[:d])
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
