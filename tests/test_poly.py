@@ -1,8 +1,10 @@
 """Polynomials and rational functions: factorization, gcd, valuations."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from towerdiff.errors import ParseError
+from towerdiff.errors import DivisionByZero, FieldMismatch, ParseError
 from towerdiff.ff import FieldSpec
 from towerdiff.places import Place
 from towerdiff.poly import (
@@ -20,6 +22,9 @@ F3 = FieldSpec(3)
 F5 = FieldSpec(5)
 F9 = FieldSpec(3, 2, [1, 0, 1])
 F4 = FieldSpec(2, 2, [1, 1, 1])
+F49 = FieldSpec(7, 2, [1, 0, 1])
+PRIME_FIELDS = [FieldSpec(2), F3, F5, FieldSpec(101), FieldSpec(1000003)]
+EXTENSION_FIELDS = [F4, F9, F49]
 
 
 def x_of(spec):
@@ -129,3 +134,88 @@ def test_poly_sort_key_total_order():
     ps = [x, x + Poly.one(F3), x**2, Poly.one(F3)]
     ordered = sorted(ps, key=lambda f: f.sort_key())
     assert ordered[0].degree <= ordered[-1].degree
+
+
+# ------------------------------------------------------------ division kernel
+
+
+def reference_divmod(a, b):
+    """Long division subtracting one shifted Poly multiple per quotient term."""
+    q = Poly.zero(a.spec)
+    r = a
+    inv = b.leading().inverse()
+    while not r.is_zero() and r.degree >= b.degree:
+        t = Poly(a.spec, [0] * (r.degree - b.degree) + [r.leading() * inv])
+        q = q + t
+        r = r - t * b
+    return q, r
+
+
+def polys(spec, max_degree=30):
+    """Polynomials whose length is drawn first, so high degrees are as likely as low."""
+    coeff = st.lists(st.integers(0, spec.p - 1), min_size=spec.h, max_size=spec.h)
+    return st.integers(0, max_degree + 1).flatmap(
+        lambda n: st.lists(coeff, min_size=n, max_size=n)).map(
+        lambda cs: Poly(spec, [spec.element(c) for c in cs]))
+
+
+def dividend_and_divisor(fields):
+    nonzero = lambda f: not f.is_zero()  # noqa: E731
+    return st.sampled_from(fields).flatmap(
+        lambda spec: st.tuples(polys(spec), polys(spec).filter(nonzero)))
+
+
+def check_division(a, b):
+    q, r = divmod(a, b)
+    assert q * b + r == a
+    assert r.degree < b.degree
+    assert (a // b, a % b) == (q, r)
+    return q, r
+
+
+@settings(max_examples=200, deadline=None)
+@given(dividend_and_divisor(PRIME_FIELDS))
+def test_divmod_prime_fields_match_sympy(ab):
+    galoistools = pytest.importorskip("sympy.polys.galoistools")
+    from sympy import ZZ
+
+    a, b = ab
+    p = a.spec.p
+    q, r = check_division(a, b)
+    desc = lambda f: [c.coeffs[0] for c in reversed(f.coeffs)]  # noqa: E731
+    assert (desc(q), desc(r)) == tuple(galoistools.gf_div(desc(a), desc(b), p, ZZ))
+
+
+@settings(max_examples=150, deadline=None)
+@given(dividend_and_divisor(EXTENSION_FIELDS))
+def test_divmod_extension_fields_match_reference(ab):
+    a, b = ab
+    assert check_division(*ab) == reference_divmod(a, b)
+
+
+@pytest.mark.parametrize("spec", [F5, F9], ids=["F5", "F9"])
+def test_divmod_edge_cases(spec):
+    x = x_of(spec)
+    one = Poly.one(spec)
+    two = Poly.constant(spec, 2)
+    f = x**5 + two * x**2 + one
+    # a constant divisor scales the dividend; the remainder is zero
+    assert divmod(f, two) == (f * Poly.constant(spec, spec.element(2).inverse()), Poly.zero(spec))
+    # a non-monic divisor
+    q, r = check_division(f, two * x**2 + x + one)
+    assert (q, r) == reference_divmod(f, two * x**2 + x + one)
+    # deg a < deg b returns the dividend as the remainder
+    assert divmod(x + one, x**2) == (Poly.zero(spec), x + one)
+    assert divmod(Poly.zero(spec), x + one) == (Poly.zero(spec), Poly.zero(spec))
+    assert divmod(f, 2) == divmod(f, two)
+    with pytest.raises(DivisionByZero):
+        divmod(f, Poly.zero(spec))
+    with pytest.raises(DivisionByZero):
+        f % 0
+
+
+def test_divmod_rejects_mixed_fields():
+    with pytest.raises(FieldMismatch):
+        divmod(x_of(F3) ** 2, x_of(F5))
+    with pytest.raises(FieldMismatch):
+        divmod(x_of(F9) ** 2, x_of(F3))
