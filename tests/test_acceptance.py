@@ -89,8 +89,15 @@ def test_criterion_3_holomorphy_oracle(suite):
     for d in [load_fixture(n) for n in ALL_FIXTURES] + suite:
         profile, table = invariant_table(d)
         inf = tracked_place(d, Place.infinite(d.field))
-        for b in enumerate_basis(d, profile=profile):
-            assert holomorphy_check(d, b, profile=profile), b.pretty()
+        basis = enumerate_basis(d, profile=profile)
+        # the map `basis --check` builds: infinity and (x) are walked once per tower
+        places = dict(profile)
+        places.setdefault(Place.infinite(d.field), inf)
+        x_place = Place(d.field, Poly.x(d.field))
+        if any(b.nu > 0 for b in basis) and x_place not in places:
+            places[x_place] = tracked_place(d, x_place)
+        for b in basis:
+            assert holomorphy_check(d, b, places), b.pretty()
             checked += 1
         for mu in gamma_indices(d):
             t = table[mu]
