@@ -28,7 +28,7 @@ COMMANDS = [
     ["standardform"],
 ]
 
-# small integers keep the trial-division primality test of "p" cheap
+# small integers keep each mutated field small, so every analysis stays cheap
 SCALARS = st.one_of(
     st.integers(-3, 50),
     st.floats(allow_nan=False, allow_infinity=False),

@@ -1,6 +1,7 @@
 """CLI and serialization: round-trips, exit codes, determinism."""
 
 import json
+import time
 from importlib import resources
 
 import pytest
@@ -193,5 +194,25 @@ def test_cli_type_confused_descriptor_is_a_parse_error(capsys, tmp_path, field, 
     f = tmp_path / "typed.json"
     f.write_text(json.dumps({"field": field, "steps": [step]}))
     code, out = run(capsys, "validate", "--input", str(f))
+    assert code == 1
+    assert json.loads(out)["error"] == "parse_error"
+
+
+@pytest.mark.parametrize("command", ["validate", "genus"])
+def test_cli_large_characteristic_answers_quickly(capsys, tmp_path, command):
+    f = tmp_path / "large_p.json"
+    f.write_text(json.dumps({"field": {"p": 1000000000000000003},
+                             "steps": [{"kind": "kummer", "n": 2, "c": [1, 0, 1]}]}))
+    t0 = time.perf_counter()
+    code, _ = run(capsys, command, "--input", str(f))
+    assert code == 0
+    assert time.perf_counter() - t0 < 2.0
+
+
+def test_cli_characteristic_beyond_primality_bound_is_a_parse_error(capsys, tmp_path):
+    f = tmp_path / "huge_p.json"
+    f.write_text(json.dumps({"field": {"p": 3317044064679887385961981 + 2},
+                             "steps": [{"kind": "kummer", "n": 2, "c": [1, 0, 1]}]}))
+    code, out = run(capsys, "genus", "--input", str(f))
     assert code == 1
     assert json.loads(out)["error"] == "parse_error"

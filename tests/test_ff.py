@@ -1,9 +1,11 @@
 """Finite field arithmetic: exactness, inverses, roots, generators."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from towerdiff.errors import DivisionByZero, NotCoprimeToCharacteristic, ParseError
-from towerdiff.ff import FieldSpec, ff_has_nth_roots_of_unity, ff_pth_root
+from towerdiff.ff import _MR_BOUND, FieldSpec, _is_prime, ff_has_nth_roots_of_unity, ff_pth_root
 
 F3 = FieldSpec(3)
 F9 = FieldSpec(3, 2, [1, 0, 1])
@@ -80,3 +82,38 @@ def test_element_coercion():
     assert F3.element(5) == F3.element(2)
     assert F9.element(1) == F9.one()
     assert F9.element([1, 2]) + F9.element([2, 1]) == F9.zero()
+
+
+def test_primality_matches_trial_division_below_ten_thousand():
+    primes = [n for n in range(10_000) if n > 1 and all(n % d for d in range(2, int(n**0.5) + 1))]
+    assert [n for n in range(10_000) if _is_prime(n)] == primes
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.integers(2, 10**12), st.integers(2, _MR_BOUND - 1)))
+def test_primality_matches_sympy(n):
+    sympy = pytest.importorskip("sympy")
+    assert _is_prime(n) == sympy.isprime(n)
+    prime = sympy.nextprime(n)
+    if prime < _MR_BOUND:
+        assert _is_prime(prime)
+
+
+@pytest.mark.parametrize("p", [561, 3215031751, 3825123056546413051, 0, 1, -2, -7])
+def test_composite_and_small_characteristics_rejected(p):
+    # 561 is a Carmichael number; the other two are strong pseudoprimes to the
+    # prime bases 2..7 and 2..23 respectively
+    with pytest.raises(ParseError, match="not prime"):
+        FieldSpec(p)
+
+
+def test_large_prime_characteristic_accepted():
+    assert FieldSpec(1000000000000000003).p == 1000000000000000003
+    assert _is_prime(3317044064679887385961813)  # the largest prime below the bound
+
+
+def test_characteristic_beyond_primality_bound_refused():
+    with pytest.raises(ParseError, match="too large"):
+        FieldSpec(_MR_BOUND)
+    with pytest.raises(ParseError, match="too large"):
+        FieldSpec(2**127 - 1)
