@@ -3,9 +3,22 @@
 Elements are stored fully reduced (power-basis coordinates mod p), so
 equality is plain coordinate comparison and values can be shared freely
 across threads.
+
+On an extension field with q = p^h <= 2^16, arithmetic is table lookup: the
+FieldSpec holds exp/log tables for the generator g and a Zech table
+Z[n] = log(1 + g^n) (Lidl and Niederreiter, Finite Fields; K. Huber, IEEE
+Trans. Inf. Theory 36, 1990). Products, inverses, powers and p-th roots add
+or scale logarithms, and sums go through Z. The tables are built on first use,
+once per field per process, with the coordinate multiplication, which stays
+the arithmetic of extension fields with q > 2^16. Prime fields multiply
+residues mod p and use no tables.
 """
 
 from __future__ import annotations
+
+import functools
+import itertools
+import math
 
 from .errors import DivisionByZero, FieldMismatch, NotCoprimeToCharacteristic, ParseError
 
@@ -43,23 +56,137 @@ def _is_prime(n: int) -> bool:
 
 
 def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
+    """The distinct primes dividing n >= 1, ascending.
+
+    Trial division up to 1000, then Pollard-Brent on what is left, with every
+    cofactor certified by _is_prime; one at or above its bound is ParseError.
+    """
+    out = set()
+    for d in range(2, 1000):
+        if d * d > n:
+            break
         if n % d == 0:
-            out.append(d)
+            out.add(d)
             while n % d == 0:
                 n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+    rest = [n] if n > 1 else []
+    while rest:
+        m = rest.pop()
+        if _is_prime(m):
+            out.add(m)
+        else:
+            d = _brent_split(m)
+            rest += [d, m // d]
+    return sorted(out)
+
+
+def _brent_split(n: int) -> int:
+    """A proper divisor of the odd composite n (Brent, BIT 20, 1980)."""
+    for c in itertools.count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
+def _cyclotomic_values(p: int, h: int) -> list[int]:
+    """Phi_d(p) for each d | h; their product is p^h - 1."""
+    phi = {}
+    for d in range(1, h + 1):
+        if h % d == 0:
+            v = p**d - 1
+            for e, w in phi.items():
+                if d % e == 0:
+                    v //= w
+            phi[d] = v
+    return list(phi.values())
+
+
+def _coord_mul(p: int, h: int, modulus, a, b) -> tuple:
+    """Product of two coordinate tuples of F_{p^h}, h > 1, reduced by modulus."""
+    prod = [0] * (2 * h - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                prod[i + j] = (prod[i + j] + x * y) % p
+    for k in range(len(prod) - 1, h - 1, -1):
+        c = prod[k]
+        if c:
+            prod[k] = 0
+            for j in range(h):
+                prod[k - h + j] = (prod[k - h + j] - c * modulus[j]) % p
+    return tuple(prod[:h])
+
+
+# Fields with q up to this size use exp/log/Zech tables (h > 1 only).
+_TABLE_MAX_Q = 2**16
+
+
+@functools.lru_cache(maxsize=16)
+def _zech_tables(p: int, h: int, modulus) -> tuple:
+    """(powers, zech) for F_{p^h}: powers[i] = g^i as coordinates, zech[i] = log(1 + g^i).
+
+    g is the first element of FieldSpec.elements() order with multiplicative
+    order q - 1, which FieldSpec.generator's search returns on fields without
+    tables. Each candidate's powers are multiplied out until one lands in H,
+    the cyclic subgroup generated by the first candidate (H = {1} while that
+    one is walked). If c^t is the first power in H and c^t = h0^j for the
+    generator h0 of H, then c has order t * |H| / gcd(j, |H|), and when that is
+    q - 1 the remaining powers are g^{ts+r} = h0^{js} g^r. A candidate that is
+    not a generator puts its powers among the known non-generators. This costs
+    q - 2 coordinate products when the first or second candidate tried is the
+    generator.
+    """
+    n = p**h - 1
+    one = (1,) + (0,) * (h - 1)
+    sub, sub_log = [one], {one: 0}
+    non_generators = set()
+    for c in itertools.product(range(p), repeat=h):
+        if not any(c) or c in sub_log or c in non_generators:
+            continue
+        powers = [one, c]
+        while powers[-1] not in sub_log:
+            powers.append(_coord_mul(p, h, modulus, powers[-1], c))
+        t, j, m = len(powers) - 1, sub_log[powers[-1]], len(sub)
+        if t * (m // math.gcd(j, m)) == n:
+            table = powers[:t]
+            for s in range(1, m):
+                base = sub[j * s % m]
+                table.append(base)
+                for r in range(1, t):
+                    table.append(_coord_mul(p, h, modulus, base, powers[r]))
+            log = dict(zip(table, itertools.count()))
+            zech = tuple(log.get(((e[0] + 1) % p,) + e[1:]) for e in table)
+            return tuple(table), zech
+        if m == 1:
+            sub = powers[:-1]
+            sub_log = dict(zip(sub, itertools.count()))
+        else:
+            non_generators.update(powers[1:-1])
+    raise AssertionError("no multiplicative generator found")
 
 
 class FieldSpec:
     """Description of F_{p^h}; for h > 1 the defining modulus is user-supplied."""
 
-    __slots__ = ("p", "h", "modulus", "_gen_cache")
+    __slots__ = ("p", "h", "modulus", "_gen_cache", "_hash", "_tab")
 
     def __init__(self, p: int, h: int = 1, modulus=None):
         if not _is_prime(p):
@@ -82,8 +209,10 @@ class FieldSpec:
         self.p = p
         self.h = h
         self._gen_cache = None
+        self._hash = hash((p, h, self.modulus))
         if self.modulus is not None and not self._modulus_irreducible():
             raise ParseError("modulus is reducible over the prime field")
+        self._tab = _Tables(self) if h > 1 and p**h <= _TABLE_MAX_Q else None
 
     def _modulus_irreducible(self) -> bool:
         from .poly import Poly, is_irreducible
@@ -128,10 +257,12 @@ class FieldSpec:
 
     def generator(self) -> FieldElement:
         """A generator of the multiplicative group, found by search."""
+        if self._tab is not None:
+            return self._tab.generator()
         if self._gen_cache is not None:
             return self._gen_cache
         order = self.q - 1
-        primes = _prime_factors(order)
+        primes = sorted({ell for v in _cyclotomic_values(self.p, self.h) for ell in _prime_factors(v)})
         for a in self.elements():
             if a.is_zero():
                 continue
@@ -155,7 +286,7 @@ class FieldSpec:
         )
 
     def __hash__(self):
-        return hash((self.p, self.h, self.modulus))
+        return self._hash
 
     def __repr__(self):
         if self.h == 1:
@@ -184,13 +315,27 @@ class FieldElement:
             raise FieldMismatch("operands from different fields")
         return other
 
+    @staticmethod
+    def _shared(spec: FieldSpec, coeffs: tuple) -> FieldElement:
+        """An element from already reduced coordinates, skipping __init__."""
+        e = object.__new__(FieldElement)
+        e.spec = spec
+        e.coeffs = coeffs
+        return e
+
     def __add__(self, other):
+        tab = self.spec._tab
+        if tab is not None:
+            return tab.add(self, other)
         other = self._check(other)
         return FieldElement(self.spec, [a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     __radd__ = __add__
 
     def __sub__(self, other):
+        tab = self.spec._tab
+        if tab is not None:
+            return tab.sub(self, other)
         other = self._check(other)
         return FieldElement(self.spec, [a - b for a, b in zip(self.coeffs, other.coeffs)])
 
@@ -198,26 +343,21 @@ class FieldElement:
         return self._check(other) - self
 
     def __neg__(self):
+        tab = self.spec._tab
+        if tab is not None:
+            return tab.sub(tab.zero, self)
         return FieldElement(self.spec, [-a for a in self.coeffs])
 
     def __mul__(self, other):
+        tab = self.spec._tab
+        if tab is not None:
+            return tab.mul(self, other)
         other = self._check(other)
         p, h = self.spec.p, self.spec.h
         if h == 1:
             return FieldElement(self.spec, (self.coeffs[0] * other.coeffs[0] % p,))
-        prod = [0] * (2 * h - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    prod[i + j] = (prod[i + j] + a * b) % p
-        mod = self.spec.modulus
-        for k in range(len(prod) - 1, h - 1, -1):
-            c = prod[k]
-            if c:
-                prod[k] = 0
-                for j in range(h):
-                    prod[k - h + j] = (prod[k - h + j] - c * mod[j]) % p
-        return FieldElement(self.spec, prod[:h])
+        coords = _coord_mul(p, h, self.spec.modulus, self.coeffs, other.coeffs)
+        return FieldElement._shared(self.spec, coords)
 
     __rmul__ = __mul__
 
@@ -234,6 +374,9 @@ class FieldElement:
         return self._check(other) / self
 
     def __pow__(self, n: int):
+        tab = self.spec._tab
+        if tab is not None:
+            return tab.pow(self, n)
         if n < 0:
             return self.inverse() ** (-n)
         result = self.spec.one()
@@ -265,6 +408,73 @@ class FieldElement:
         if self.spec.h == 1:
             return str(self.coeffs[0])
         return str(list(self.coeffs))
+
+
+class _Tables:
+    """exp/log/Zech tables of one FieldSpec with h > 1 and q <= 2^16.
+
+    exp[i] = g^i for 0 <= i < n = q - 1, log maps coordinates to i (None for
+    zero) and zech[i] = log(1 + g^i). The elements in exp are shared. Every
+    operation first reads log, which is None until _build fills the tables.
+    """
+
+    __slots__ = ("spec", "exp", "log", "zech", "n", "half", "zero")
+
+    def __init__(self, spec: FieldSpec):
+        self.spec = spec
+        self.log = None
+        self.n = spec.q - 1
+        # -1 = g^(n/2) in odd characteristic, and -1 = 1 in characteristic 2
+        self.half = self.n // 2 if spec.p != 2 else 0
+        self.zero = FieldElement._shared(spec, (0,) * spec.h)
+
+    def _build(self) -> dict:
+        spec = self.spec
+        powers, self.zech = _zech_tables(spec.p, spec.h, spec.modulus)
+        self.exp = tuple(FieldElement._shared(spec, c) for c in powers)
+        self.log = dict(zip(powers, range(self.n)))
+        self.log[self.zero.coeffs] = None
+        return self.log
+
+    def generator(self) -> FieldElement:
+        self.log or self._build()
+        return self.exp[1]
+
+    def _operand(self, a: FieldElement, b) -> int | None:
+        if b.__class__ is not FieldElement or b.spec is not self.spec:
+            b = a._check(b)
+        return self.log[b.coeffs]
+
+    def _sum(self, la, lb) -> FieldElement:
+        if la is None:
+            return self.zero if lb is None else self.exp[lb % self.n]
+        if lb is None:
+            return self.exp[la]
+        z = self.zech[(lb - la) % self.n]
+        return self.zero if z is None else self.exp[(la + z) % self.n]
+
+    def add(self, a: FieldElement, b) -> FieldElement:
+        log = self.log or self._build()
+        return self._sum(log[a.coeffs], self._operand(a, b))
+
+    def sub(self, a: FieldElement, b) -> FieldElement:
+        log = self.log or self._build()
+        lb = self._operand(a, b)
+        return self._sum(log[a.coeffs], None if lb is None else lb + self.half)
+
+    def mul(self, a: FieldElement, b) -> FieldElement:
+        la, lb = (self.log or self._build())[a.coeffs], self._operand(a, b)
+        if la is None or lb is None:
+            return self.zero
+        return self.exp[(la + lb) % self.n]
+
+    def pow(self, a: FieldElement, k: int) -> FieldElement:
+        la = (self.log or self._build())[a.coeffs]
+        if la is None:
+            if k < 0:
+                raise DivisionByZero("inverse of zero")
+            return self.zero if k else self.exp[0]
+        return self.exp[la * k % self.n]
 
 
 def ff_pth_root(a: FieldElement) -> FieldElement:

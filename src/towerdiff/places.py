@@ -16,12 +16,13 @@ from .poly import Poly, RatFun, is_irreducible, poly_ext_gcd, ratfun_valuation
 class Place:
     """A monic irreducible of k[x], or the place at infinity."""
 
-    __slots__ = ("spec", "poly", "degree")
+    __slots__ = ("spec", "poly", "degree", "_hash")
 
     def __init__(self, spec: FieldSpec, poly: Poly | None):
         self.spec = spec
         self.poly = poly
         self.degree = 1 if poly is None else poly.degree
+        self._hash = None
 
     @staticmethod
     def finite(poly: Poly) -> Place:
@@ -53,7 +54,10 @@ class Place:
         )
 
     def __hash__(self):
-        return hash((self.spec, self.poly))
+        # computed once: places key the walk and profile maps
+        if self._hash is None:
+            self._hash = hash((self.spec, self.poly))
+        return self._hash
 
     def __repr__(self):
         return "infinity" if self.is_infinite else f"({self.poly})"

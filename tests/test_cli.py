@@ -216,3 +216,26 @@ def test_cli_characteristic_beyond_primality_bound_is_a_parse_error(capsys, tmp_
     code, out = run(capsys, "genus", "--input", str(f))
     assert code == 1
     assert json.loads(out)["error"] == "parse_error"
+
+
+def test_cli_act_over_a_safe_prime_answers_quickly(capsys, tmp_path):
+    # q - 1 = 2 * 500000000000003621: its prime factors need Pollard-Brent, not trial division
+    f = tmp_path / "safe_p.json"
+    f.write_text(json.dumps({"field": {"p": 1000000000000007243},
+                             "steps": [{"kind": "kummer", "n": 2, "c": [0, 1, 0, 0, 1]}]}))
+    t0 = time.perf_counter()
+    code, out = run(capsys, "act", "--element", "1", "--input", str(f))
+    assert code == 0
+    assert json.loads(out) == {"matrix": [[1000000000000007242]]}
+    assert time.perf_counter() - t0 < 2.0
+
+
+def test_cli_group_order_beyond_primality_bound_is_a_parse_error(capsys, tmp_path):
+    # q - 1 = Phi_1(p) * Phi_3(p), and Phi_3(p) has no factor below 1000 and exceeds the bound
+    f = tmp_path / "cubic.json"
+    f.write_text(json.dumps({"field": {"p": 10000000000691, "h": 3, "modulus": [1, 1, 0, 1]},
+                             "steps": [{"kind": "kummer", "n": 2,
+                                        "c": [[0, 0, 0], [1, 0, 0], [0, 0, 0], [0, 0, 0], [1, 0, 0]]}]}))
+    code, out = run(capsys, "act", "--element", "1", "--input", str(f))
+    assert code == 1
+    assert json.loads(out)["error"] == "parse_error"

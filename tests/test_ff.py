@@ -1,11 +1,21 @@
 """Finite field arithmetic: exactness, inverses, roots, generators."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from towerdiff.errors import DivisionByZero, NotCoprimeToCharacteristic, ParseError
-from towerdiff.ff import _MR_BOUND, FieldSpec, _is_prime, ff_has_nth_roots_of_unity, ff_pth_root
+from towerdiff.ff import (
+    _MR_BOUND,
+    FieldSpec,
+    _cyclotomic_values,
+    _is_prime,
+    _prime_factors,
+    ff_has_nth_roots_of_unity,
+    ff_pth_root,
+)
 
 F3 = FieldSpec(3)
 F9 = FieldSpec(3, 2, [1, 0, 1])
@@ -117,3 +127,38 @@ def test_characteristic_beyond_primality_bound_refused():
         FieldSpec(_MR_BOUND)
     with pytest.raises(ParseError, match="too large"):
         FieldSpec(2**127 - 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.integers(1, 10**6),
+    st.integers(1, 10**18),
+    st.lists(st.integers(2, 10**5), min_size=1, max_size=4).map(math.prod),
+))
+def test_prime_factors_match_sympy(n):
+    sympy = pytest.importorskip("sympy")
+    assert _prime_factors(n) == sorted(sympy.factorint(n))
+
+
+def test_prime_factors_of_large_group_orders():
+    # the multiplicative group of the safe prime 1000000000000007243
+    assert _prime_factors(1000000000000007242) == [2, 500000000000003621]
+    # a semiprime whose factors are both beyond the trial division
+    assert _prime_factors(1000003 * 999983) == [999983, 1000003]
+    assert _prime_factors(1009**2 * 2**5) == [2, 1009]
+    with pytest.raises(ParseError, match="too large"):
+        _prime_factors(100000000013830000000478173)  # Phi_3(10000000000691), no factor below 1000
+
+
+@pytest.mark.parametrize("p, h", [(2, 1), (3, 2), (7, 4), (5, 6), (10007, 12)])
+def test_cyclotomic_values_split_the_group_order(p, h):
+    values = _cyclotomic_values(p, h)
+    assert math.prod(values) == p**h - 1
+    assert values[0] == p - 1
+    assert len(values) == sum(1 for d in range(1, h + 1) if h % d == 0)
+
+
+def test_field_spec_hash_is_that_of_its_parameters():
+    # dict and set orders, and so the outputs, depend on these values
+    for spec in (F3, F9, F25, FieldSpec(2, 3, [1, 1, 0, 1])):
+        assert hash(spec) == hash((spec.p, spec.h, spec.modulus))

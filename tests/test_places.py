@@ -12,6 +12,7 @@ from towerdiff.ff import FieldSpec
 from towerdiff.places import Place, ResidueField, artin_schreier_image_test, residue
 from towerdiff.poly import Poly, RatFun
 from towerdiff.standard_form import as_weak_standard_form, kummer_standard_form
+from towerdiff.tower import candidate_places
 
 F3 = FieldSpec(3)
 F9 = FieldSpec(3, 2, [1, 0, 1])
@@ -26,6 +27,16 @@ def test_place_construction():
     with pytest.raises(ParseError):
         Place.finite(x**2 - Poly.one(F3))  # reducible
     assert Place.infinite(F3).is_infinite
+
+
+def test_place_hash_is_that_of_its_field_and_polynomial(fixtures):
+    # dict and set orders, and so the outputs, depend on these values
+    for d in fixtures.values():
+        places = candidate_places(d)
+        assert places[-1].is_infinite
+        for P in places:
+            assert hash(P) == hash((P.spec, P.poly))
+            assert hash(P.spec) == hash((P.spec.p, P.spec.h, P.spec.modulus))
 
 
 def test_residue_of_ratfun():

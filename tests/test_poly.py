@@ -1,5 +1,7 @@
 """Polynomials and rational functions: factorization, gcd, valuations."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +25,7 @@ F5 = FieldSpec(5)
 F9 = FieldSpec(3, 2, [1, 0, 1])
 F4 = FieldSpec(2, 2, [1, 1, 1])
 F49 = FieldSpec(7, 2, [1, 0, 1])
+F25 = FieldSpec(5, 2, [2, 0, 1])
 PRIME_FIELDS = [FieldSpec(2), F3, F5, FieldSpec(101), FieldSpec(1000003)]
 EXTENSION_FIELDS = [F4, F9, F49]
 
@@ -220,3 +223,36 @@ def test_divmod_rejects_mixed_fields():
         divmod(x_of(F3) ** 2, x_of(F5))
     with pytest.raises(FieldMismatch):
         divmod(x_of(F9) ** 2, x_of(F3))
+
+
+def mobius(n):
+    out, d = 1, 2
+    while d * d <= n:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            out = -out
+        d += 1
+    return -out if n > 1 else out
+
+
+@pytest.mark.parametrize("spec, d", [(F4, 1), (F4, 2), (F4, 3), (F9, 1), (F9, 2), (F9, 3), (F25, 1), (F25, 2)],
+                         ids=lambda v: f"F{v.q}" if isinstance(v, FieldSpec) else f"d{v}")
+def test_irreducible_count_matches_gauss(spec, d):
+    # Gauss: F_q[x] has (1/d) sum_{e | d} mu(d/e) q^e monic irreducibles of degree d
+    expected = sum(mobius(d // e) * spec.q**e for e in range(1, d + 1) if d % e == 0) // d
+    elements = list(spec.elements())
+    monic = (Poly(spec, list(low) + [spec.one()]) for low in itertools.product(elements, repeat=d))
+    assert sum(1 for f in monic if is_irreducible(f)) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([F9, F49]).flatmap(lambda spec: polys(spec, max_degree=12)).filter(lambda f: f.degree >= 1))
+def test_factorize_extension_fields_recombines_into_coprime_irreducibles(f):
+    fac = factorize(f)
+    assert fac.expand() == f
+    for g, m in fac.factors:
+        assert g.is_monic() and is_irreducible(g) and m >= 1
+    for (g, _), (h, _) in itertools.combinations(fac.factors, 2):
+        assert poly_gcd(g, h).degree == 0
