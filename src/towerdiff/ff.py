@@ -4,14 +4,17 @@ Elements are stored fully reduced (power-basis coordinates mod p), so
 equality is plain coordinate comparison and values can be shared freely
 across threads.
 
-On an extension field with q = p^h <= 2^16, arithmetic is table lookup: the
+On an extension field with q = p^h <= 2^8, arithmetic is table lookup: the
 FieldSpec holds exp/log tables for the generator g and a Zech table
 Z[n] = log(1 + g^n) (Lidl and Niederreiter, Finite Fields; K. Huber, IEEE
 Trans. Inf. Theory 36, 1990). Products, inverses, powers and p-th roots add
 or scale logarithms, and sums go through Z. The tables are built on first use,
 once per field per process, with the coordinate multiplication, which stays
-the arithmetic of extension fields with q > 2^16. Prime fields multiply
-residues mod p and use no tables.
+the arithmetic of extension fields with q > 2^8: there the q - 2 products of
+the build cost more than a command's own arithmetic. A thread that finds the
+tables unbuilt builds them itself; they are published with their log dict last,
+so no thread reads a partial table. Prime fields multiply residues mod p and
+use no tables.
 """
 
 from __future__ import annotations
@@ -30,9 +33,11 @@ _MR_BOUND = 3_317_044_064_679_887_385_961_981
 
 
 def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; n at or above _MR_BOUND is refused as ParseError."""
-    if n >= _MR_BOUND:
-        raise ParseError(f"{n} is too large to certify as prime (the bound is {_MR_BOUND})")
+    """Deterministic Miller-Rabin below _MR_BOUND.
+
+    At or above the bound a witness still proves n composite, but an n that
+    passes every base cannot be certified and is refused as ParseError.
+    """
     if n < 2:
         return False
     for b in _MR_BASES:
@@ -52,14 +57,24 @@ def _is_prime(n: int) -> bool:
                 break
         else:
             return False
+    if n >= _MR_BOUND:
+        raise ParseError(f"{n} is too large to certify as prime (the bound is {_MR_BOUND})")
     return True
+
+
+# Pollard-Brent's cycle length cap on composites at or above _MR_BOUND, whose
+# smallest prime factor may be too large to find; it gives up after about 2^22
+# squarings, 1.9 s on a 40-digit semiprime (CPython 3.11, 2-vCPU x86-64 VM).
+_BRENT_MAX_R = 2**20
 
 
 def _prime_factors(n: int) -> list[int]:
     """The distinct primes dividing n >= 1, ascending.
 
     Trial division up to 1000, then Pollard-Brent on what is left, with every
-    cofactor certified by _is_prime; one at or above its bound is ParseError.
+    cofactor certified by _is_prime. A cofactor at or above its bound is
+    ParseError when it passes every Miller-Rabin base, or when it is composite
+    and Pollard-Brent finds no factor within _BRENT_MAX_R.
     """
     out = set()
     for d in range(2, 1000):
@@ -74,17 +89,24 @@ def _prime_factors(n: int) -> list[int]:
         m = rest.pop()
         if _is_prime(m):
             out.add(m)
-        else:
-            d = _brent_split(m)
-            rest += [d, m // d]
+            continue
+        d = _brent_split(m, _BRENT_MAX_R if m >= _MR_BOUND else None)
+        if d is None:
+            raise ParseError(f"{m} is too large to factor (no factor found within {_BRENT_MAX_R} steps)")
+        rest += [d, m // d]
     return sorted(out)
 
 
-def _brent_split(n: int) -> int:
-    """A proper divisor of the odd composite n (Brent, BIT 20, 1980)."""
+def _brent_split(n: int, max_r: int | None = None) -> int | None:
+    """A proper divisor of the odd composite n (Brent, BIT 20, 1980).
+
+    None when the cycle length would pass max_r.
+    """
     for c in itertools.count(1):
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
+            if max_r is not None and r > max_r:
+                return None
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -135,8 +157,11 @@ def _coord_mul(p: int, h: int, modulus, a, b) -> tuple:
     return tuple(prod[:h])
 
 
-# Fields with q up to this size use exp/log/Zech tables (h > 1 only).
-_TABLE_MAX_Q = 2**16
+# Fields with q up to this size use exp/log/Zech tables (h > 1 only). The
+# build costs about 2.5 ms at F_{2^8}, 16 ms at F_{2^10} and 1.9 s at F_{2^16}
+# (CPython 3.11 on a 2-vCPU x86-64 VM); above 2^8 a one-command run over a
+# small tower loses more to it than the tables save.
+_TABLE_MAX_Q = 2**8
 
 
 @functools.lru_cache(maxsize=16)
@@ -411,11 +436,12 @@ class FieldElement:
 
 
 class _Tables:
-    """exp/log/Zech tables of one FieldSpec with h > 1 and q <= 2^16.
+    """exp/log/Zech tables of one FieldSpec with h > 1 and q <= _TABLE_MAX_Q.
 
     exp[i] = g^i for 0 <= i < n = q - 1, log maps coordinates to i (None for
     zero) and zech[i] = log(1 + g^i). The elements in exp are shared. Every
-    operation first reads log, which is None until _build fills the tables.
+    operation first reads log, which is None until _build fills the tables;
+    _build assigns log last.
     """
 
     __slots__ = ("spec", "exp", "log", "zech", "n", "half", "zero")
@@ -432,9 +458,10 @@ class _Tables:
         spec = self.spec
         powers, self.zech = _zech_tables(spec.p, spec.h, spec.modulus)
         self.exp = tuple(FieldElement._shared(spec, c) for c in powers)
-        self.log = dict(zip(powers, range(self.n)))
-        self.log[self.zero.coeffs] = None
-        return self.log
+        log = dict(zip(powers, range(self.n)))
+        log[self.zero.coeffs] = None
+        self.log = log
+        return log
 
     def generator(self) -> FieldElement:
         self.log or self._build()

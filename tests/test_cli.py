@@ -230,12 +230,25 @@ def test_cli_act_over_a_safe_prime_answers_quickly(capsys, tmp_path):
     assert time.perf_counter() - t0 < 2.0
 
 
-def test_cli_group_order_beyond_primality_bound_is_a_parse_error(capsys, tmp_path):
-    # q - 1 = Phi_1(p) * Phi_3(p), and Phi_3(p) has no factor below 1000 and exceeds the bound
+def cubic_tower(tmp_path, p):
     f = tmp_path / "cubic.json"
-    f.write_text(json.dumps({"field": {"p": 10000000000691, "h": 3, "modulus": [1, 1, 0, 1]},
+    f.write_text(json.dumps({"field": {"p": p, "h": 3, "modulus": [1, 1, 0, 1]},
                              "steps": [{"kind": "kummer", "n": 2,
                                         "c": [[0, 0, 0], [1, 0, 0], [0, 0, 0], [0, 0, 0], [1, 0, 0]]}]}))
-    code, out = run(capsys, "act", "--element", "1", "--input", str(f))
+    return f
+
+
+def test_cli_group_order_with_a_composite_factor_beyond_the_bound(capsys, tmp_path):
+    # q - 1 = Phi_1(p) * Phi_3(p), and Phi_3(p) = 4513 * 4657 * 4758043723368575053 exceeds the bound
+    t0 = time.perf_counter()
+    code, out = run(capsys, "act", "--element", "1", "--input", str(cubic_tower(tmp_path, 10000000000691)))
+    assert code == 0
+    assert json.loads(out) == {"matrix": [[[10000000000690, 0, 0]]]}
+    assert time.perf_counter() - t0 < 2.0
+
+
+def test_cli_group_order_beyond_primality_bound_is_a_parse_error(capsys, tmp_path):
+    # Phi_3(p) exceeds the bound and passes every Miller-Rabin base
+    code, out = run(capsys, "act", "--element", "1", "--input", str(cubic_tower(tmp_path, 10000000001573)))
     assert code == 1
     assert json.loads(out)["error"] == "parse_error"

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from towerdiff import ff
 from towerdiff.errors import DivisionByZero, NotCoprimeToCharacteristic, ParseError
 from towerdiff.ff import (
     _MR_BOUND,
@@ -146,8 +147,33 @@ def test_prime_factors_of_large_group_orders():
     # a semiprime whose factors are both beyond the trial division
     assert _prime_factors(1000003 * 999983) == [999983, 1000003]
     assert _prime_factors(1009**2 * 2**5) == [2, 1009]
-    with pytest.raises(ParseError, match="too large"):
-        _prime_factors(100000000013830000000478173)  # Phi_3(10000000000691), no factor below 1000
+    # Phi_3(10000000000691): beyond the Miller-Rabin bound, composite, no factor below 1000
+    assert _prime_factors(100000000013830000000478173) == [4513, 4657, 4758043723368575053]
+    # Phi_3(10000000001573) is beyond the bound and passes every base, so it cannot be certified
+    with pytest.raises(ParseError, match="too large to certify"):
+        _prime_factors(100000000031470000002475903)
+    with pytest.raises(ParseError, match="too large to certify"):
+        _prime_factors(2 * (2**127 - 1))
+
+
+def test_witness_proves_compositeness_beyond_the_bound():
+    assert not _is_prime(100000000013830000000478173)
+    assert not _is_prime(100000000000000000039 * 300000000000000000051)
+
+
+def test_prime_factors_give_up_on_hard_composites_beyond_the_bound(monkeypatch):
+    # two 21-digit primes: far more than 2^10 Pollard-Brent steps apart from luck
+    monkeypatch.setattr(ff, "_BRENT_MAX_R", 2**10)
+    with pytest.raises(ParseError, match="too large to factor"):
+        _prime_factors(100000000000000000039 * 300000000000000000051)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.integers(10**7, 10**9), min_size=4, max_size=5).map(math.prod))
+def test_prime_factors_beyond_the_bound_match_sympy(n):
+    sympy = pytest.importorskip("sympy")
+    assert n >= _MR_BOUND
+    assert _prime_factors(n) == sorted(sympy.factorint(n))
 
 
 @pytest.mark.parametrize("p, h", [(2, 1), (3, 2), (7, 4), (5, 6), (10007, 12)])

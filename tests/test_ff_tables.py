@@ -102,7 +102,7 @@ def test_table_generator_has_full_order():
 
 
 def test_field_beyond_table_size_uses_coordinate_arithmetic(monkeypatch):
-    spec = FieldSpec(257, 2, [-3 % 257, 0, 1])  # x^2 - 3; q = 66049 > 2^16
+    spec = FieldSpec(257, 2, [-3 % 257, 0, 1])  # x^2 - 3; q = 66049 > _TABLE_MAX_Q
     assert spec._tab is None
     calls = Counter()
     mul = ff._coord_mul
@@ -125,6 +125,42 @@ def test_field_beyond_table_size_uses_coordinate_arithmetic(monkeypatch):
     g = spec.generator()
     assert g ** (spec.q - 1) == spec.one()
     assert all(g ** ((spec.q - 1) // ell) != spec.one() for ell in (2, 3, 43))  # q - 1 = 2^9 * 3 * 43
+
+
+def ref_pow(spec, a, k):
+    out, base = (1,) + (0,) * (spec.h - 1), a
+    while k:
+        if k & 1:
+            out = ref_mul(spec, out, base)
+        base, k = ref_mul(spec, base, base), k >> 1
+    return out
+
+
+def test_tables_at_the_size_cutoff():
+    # F_256 with x^8 + x^4 + x^3 + x + 1, where x has order 51 and x + 1 generates
+    spec = FieldSpec(2, 8, [1, 1, 0, 1, 1, 0, 0, 0, 1])
+    assert spec.q == ff._TABLE_MAX_Q and spec._tab is not None
+    one = (1,) + (0,) * 7
+    coords = list(itertools.product(range(2), repeat=8))
+    elems = {a: spec.element(list(a)) for a in coords}
+    full = [a for a in coords[1:] if all(ref_pow(spec, a, 255 // ell) != one for ell in (3, 5, 17))]
+    assert spec.generator().coeffs == full[0]
+    sample = random.Random(11).sample(coords, 12)
+    for a, x in elems.items():
+        assert x.pth_root().coeffs == ref_pow(spec, a, 128)
+        for k in (2, 3, 127, 255, 256, 257):
+            assert (x**k).coeffs == ref_pow(spec, a, k)
+        if any(a):
+            inv = x.inverse().coeffs
+            assert ref_mul(spec, a, inv) == one
+            assert (x**-3).coeffs == ref_pow(spec, inv, 3)
+        for b in sample:
+            y = elems[b]
+            assert (x * y).coeffs == ref_mul(spec, a, b)
+            assert (x + y).coeffs == (x - y).coeffs == ref_add(spec, a, b)
+    # the next field sizes up keep the coordinate arithmetic
+    assert FieldSpec(17, 2, [3, 0, 1])._tab is None  # q = 289
+    assert FieldSpec(2, 9, [1, 0, 0, 0, 1, 0, 0, 0, 0, 1])._tab is None  # q = 512
 
 
 def test_basis_check_multiplies_coordinates_only_to_build_tables(monkeypatch, capsys):
