@@ -7,8 +7,9 @@ Valuations at tracked places use the strict-triangle minimum over terms.
 
 from __future__ import annotations
 
+import functools
 from itertools import product
-from math import comb
+from math import comb, prod
 
 from .errors import (
     FieldMismatch,
@@ -329,8 +330,8 @@ def differential_valuation(elem: AlgebraElement, tp: TrackedPlace) -> int:
     return v
 
 
-def apply_automorphism(d, a: AlgebraElement, h) -> AlgebraElement:
-    """Image of a under the product of generator powers sigma_i^{h_i}.
+def monomial_images(d, h):
+    """mu -> {mu2: c}: sigma(y^mu) = sum of c y^mu2 for sigma = sigma_1^{h_1}...sigma_r^{h_r}.
 
     Kummer generators scale, y_i -> zeta^{h_i} y_i; Artin-Schreier ones
     shift, y_i -> y_i + h_i. Requires each moved level to be absent from
@@ -341,8 +342,9 @@ def apply_automorphism(d, a: AlgebraElement, h) -> AlgebraElement:
         sigma(y^mu) = prod_{Kummer i} zeta^{h_i mu_i} y_i^{mu_i}
                       * prod_{Artin-Schreier i} sum_k C(mu_i, k) h_i^{mu_i - k} y_i^k
 
-    with constant coefficients (C(mu_i, k) mod p). Its terms are reduced
-    once, which on reduced input only merges them.
+    with constants c in F_q (C(mu_i, k) mod p), each mu2 as long as mu and
+    reduced when mu is (k <= mu_i). Level powers and monomial images are
+    cached; callers share the returned dicts and must not change them.
     """
     steps = d.steps
     spec = d.field
@@ -365,6 +367,7 @@ def apply_automorphism(d, a: AlgebraElement, h) -> AlgebraElement:
         hi = h[i] % _step_bound(step)
         moves.append(spec.nth_root_of_unity(step.n) ** hi if step.kind == "kummer" else hi)
 
+    @functools.cache
     def image_of_power(i: int, e: int):
         """[(k, c)] with sigma(y_i^e) = sum of c y_i^k, zero terms dropped."""
         if steps[i].kind == "kummer":
@@ -372,13 +375,24 @@ def apply_automorphism(d, a: AlgebraElement, h) -> AlgebraElement:
         binomial = ((k, comb(e, k) * pow(moves[i], e - k, p) % p) for k in range(e + 1))
         return [(k, spec.element(c)) for k, c in binomial if c]
 
-    raw = []
-    for exps, coeff in a.terms.items():
-        if len(exps) > len(steps):
+    @functools.cache
+    def image(mu: tuple) -> dict:
+        if len(mu) > len(steps):
             raise ParseError("exponent beyond the tower height")
-        for choice in product(*(image_of_power(i, e) for i, e in enumerate(exps))):
-            c = spec.one()
-            for _, ck in choice:
-                c = c * ck
-            raw.append((tuple(k for k, _ in choice), coeff * RatFun.constant(spec, c)))
-    return reduce_terms(steps, spec, raw)
+        return {
+            tuple(k for k, _ in choice): prod((c for _, c in choice), start=spec.one())
+            for choice in product(*(image_of_power(i, e) for i, e in enumerate(mu)))
+        }
+
+    return image
+
+
+def apply_automorphism(d, a: AlgebraElement, h) -> AlgebraElement:
+    """Image of a under sigma_1^{h_1}...sigma_r^{h_r}: monomial_images, then reduce_terms."""
+    image = monomial_images(d, h)
+    raw = [
+        (exps2, coeff * RatFun.constant(d.field, c))
+        for exps, coeff in a.terms.items()
+        for exps2, c in image(exps).items()
+    ]
+    return reduce_terms(d.steps, d.field, raw)

@@ -13,8 +13,9 @@ once per field per process, with the coordinate multiplication, which stays
 the arithmetic of extension fields with q > 2^8: there the q - 2 products of
 the build cost more than a command's own arithmetic. A thread that finds the
 tables unbuilt builds them itself; they are published with their log dict last,
-so no thread reads a partial table. Prime fields multiply residues mod p and
-use no tables.
+so no thread reads a partial table. Without tables, an inverse is an extended
+Euclid of the coordinates against the modulus over F_p. Prime fields multiply
+residues mod p and use no tables.
 """
 
 from __future__ import annotations
@@ -155,6 +156,37 @@ def _coord_mul(p: int, h: int, modulus, a, b) -> tuple:
             for j in range(h):
                 prod[k - h + j] = (prod[k - h + j] - c * modulus[j]) % p
     return tuple(prod[:h])
+
+
+def _coord_inverse(p: int, h: int, modulus, a) -> tuple:
+    """Inverse of a nonzero coordinate tuple of F_{p^h}, h > 1.
+
+    Extended Euclid of a against the irreducible modulus over F_p on int
+    coefficient lists (ascending), keeping s with s * a = r (mod modulus)
+    until r is a nonzero constant. poly_ext_gcd does the same on Poly, but
+    its FieldElement arithmetic costs about 60 times as much per inverse.
+    """
+
+    def trim(f):
+        while f and f[-1] == 0:
+            f.pop()
+        return f
+
+    r0, r1 = list(modulus), trim(list(a))
+    s0, s1 = [], [1]
+    while len(r1) > 1:
+        inv = pow(r1[-1], -1, p)
+        while len(r0) >= len(r1):
+            c, shift = r0[-1] * inv % p, len(r0) - len(r1)
+            for j, y in enumerate(r1):
+                r0[shift + j] = (r0[shift + j] - c * y) % p
+            s0 += [0] * (shift + len(s1) - len(s0))
+            for j, y in enumerate(s1):
+                s0[shift + j] = (s0[shift + j] - c * y) % p
+            trim(r0)
+        r0, r1, s0, s1 = r1, r0, s1, trim(s0)
+    inv = pow(r1[0], -1, p)
+    return tuple(c * inv % p for c in s1) + (0,) * (h - len(s1))
 
 
 # Fields with q up to this size use exp/log/Zech tables (h > 1 only). The
@@ -389,7 +421,10 @@ class FieldElement:
     def inverse(self) -> FieldElement:
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
-        return self ** (self.spec.q - 2)
+        spec = self.spec
+        if spec.h == 1 or spec._tab is not None:
+            return self ** (spec.q - 2)
+        return FieldElement._shared(spec, _coord_inverse(spec.p, spec.h, spec.modulus, self.coeffs))
 
     def __truediv__(self, other):
         other = self._check(other)

@@ -1,18 +1,21 @@
 """Galois action on the differential basis and module decomposition.
 
 For an abelian tower the generator substitutions y -> zeta*y (tame part)
-and y -> y + 1 (wild part) act on the basis w_{mu,nu} = x^nu g_mu^{-1} y^mu dx
-with constant coefficients; the action matrix, the nilpotency structure of
-the wild part, and (for cyclic G) the indecomposable multiplicities are all
-computed exactly and cross-checked against the dimension bookkeeping.
+and y -> y + 1 (wild part) send y^mu to an F_q-combination of monomials
+(algebra.monomial_images), so they act on the basis w_{mu,nu} =
+x^nu g_mu^{-1} y^mu dx with constant coefficients. The action matrix, the
+nilpotency structure of the wild part, and (for cyclic G) the indecomposable
+multiplicities are computed exactly over F_q, with no rational-function
+arithmetic, and cross-checked against the dimension bookkeeping.
 """
 
 from __future__ import annotations
 
+import functools
 from itertools import product
 from math import factorial
 
-from .algebra import AlgebraElement, apply_automorphism
+from .algebra import AlgebraElement, monomial_images
 from .basis import enumerate_basis, gamma_indices, invariant_table, lambda_rho
 from .errors import (
     ClosureFailure,
@@ -20,49 +23,13 @@ from .errors import (
     ParseError,
     UnsupportedAction,
 )
-from .ff import FieldElement
 from .poly import Poly, RatFun
 from .tower import TowerDescriptor, analyze, genus
 
 
-def _lambda_map(profile, mu):
-    return {P: lambda_rho(tp, mu)[0] for P, tp in profile.items() if not P.is_infinite}
-
-
-def _constant_of(coeff: RatFun) -> FieldElement:
-    if coeff.num.degree > 0 or coeff.den.degree > 0:
-        raise ClosureFailure("automorphism image has a non-constant coefficient")
-    return coeff.num.leading() / coeff.den.leading()
-
-
-def _shifted_image(d: TowerDescriptor, h, lam, mu):
-    """[(mu2, l, c)]: sigma(g_mu^{-1} y^mu) = sum of c x^l g_mu2^{-1} y^mu2.
-
-    So sigma maps w_{mu,nu} to the sum of c w_{mu2,nu+l}, for every nu.
-    """
-    spec = d.field
-    out = []
-    img = apply_automorphism(d, AlgebraElement.monomial(spec, mu), h)
-    for exps, coeff in img.terms.items():
-        mu2 = tuple(exps) + (0,) * (d.r - len(exps))
-        c0 = _constant_of(coeff)
-        if mu2 not in lam:
-            raise ClosureFailure(f"image index {mu2} outside the basis index set")
-        hpoly = Poly.one(spec)
-        for P, l2 in lam[mu2].items():
-            diff = l2 - lam[mu].get(P, 0)
-            if diff < 0:
-                raise ClosureFailure(
-                    f"pole bookkeeping fails: lambda drops at {P} for {mu} -> {mu2}"
-                )
-            hpoly = hpoly * P.poly**diff
-        for P, l1 in lam[mu].items():
-            if P not in lam[mu2] and l1 > 0:
-                raise ClosureFailure(
-                    f"pole bookkeeping fails: lambda drops at {P} for {mu} -> {mu2}"
-                )
-        out.extend((mu2, l, c0 * bl) for l, bl in enumerate(hpoly.coeffs) if not bl.is_zero())
-    return out
+# act refuses towers above this genus before it allocates the g x g matrix;
+# the largest suite tower has g = 2745
+MAX_ACTION_GENUS = 3000
 
 
 def action_matrix(d: TowerDescriptor, h, profile=None):
@@ -71,43 +38,57 @@ def action_matrix(d: TowerDescriptor, h, profile=None):
     Entry (i, j) is the coefficient of basis element i in the image of basis
     element j. The wild part only lowers exponents and the tame part only
     scales, so the image of each w_{mu,nu} is a k-combination of basis
-    elements; anything else aborts.
+    elements; anything else aborts. A genus above MAX_ACTION_GENUS is refused.
     """
     if profile is None:
         profile = analyze(d)
+    g = genus(d, profile)
+    if g > MAX_ACTION_GENUS:
+        raise UnsupportedAction(f"genus {g} exceeds the action matrix cap of {MAX_ACTION_GENUS}")
     basis = enumerate_basis(d, profile)
     index = {(b.mu, b.nu): i for i, b in enumerate(basis)}
-    lam = {}
-    for mu in gamma_indices(d):
-        lam[mu] = _lambda_map(profile, mu)
-    zero = d.field.zero()
-    m = [[zero for _ in basis] for _ in basis]
-    shifted = {}
+    places = [P for P in profile if not P.is_infinite]
+    lam = {mu: tuple(lambda_rho(profile[P], mu)[0] for P in places) for mu in gamma_indices(d)}
+    image = monomial_images(d, h)
+
+    @functools.cache
+    def shift(diff):
+        """The nonzero coefficients (l, b_l) of g_mu / g_mu2 = prod P^diff."""
+        hpoly = Poly.one(d.field)
+        for P, e in zip(places, diff):
+            hpoly = hpoly * P.poly**e
+        return [(l, bl) for l, bl in enumerate(hpoly.coeffs) if not bl.is_zero()]
+
+    @functools.cache
+    def shifted_image(mu):
+        """[(mu2, l, c)]: sigma(g_mu^{-1} y^mu) = sum of c x^l g_mu2^{-1} y^mu2.
+
+        So sigma maps w_{mu,nu} to the sum of c w_{mu2,nu+l}, for every nu.
+        """
+        out = []
+        for mu2, c0 in image(mu).items():
+            if mu2 not in lam:
+                raise ClosureFailure(f"image index {mu2} outside the basis index set")
+            diff = tuple(l2 - l1 for l2, l1 in zip(lam[mu2], lam[mu]))
+            for P, e in zip(places, diff):
+                if e < 0:
+                    raise ClosureFailure(
+                        f"pole bookkeeping fails: lambda drops at {P} for {mu} -> {mu2}"
+                    )
+            out.extend((mu2, l, c0 * bl) for l, bl in shift(diff))
+        return out
+
+    m = [[d.field.zero()] * len(basis) for _ in basis]
     for j, b in enumerate(basis):
-        if b.mu not in shifted:
-            shifted[b.mu] = _shifted_image(d, h, lam, b.mu)
-        for mu2, l, c in shifted[b.mu]:
+        for mu2, l, c in shifted_image(b.mu):
             target = index.get((mu2, b.nu + l))
             if target is None:
                 raise ClosureFailure(
                     f"image term (mu={mu2}, nu={b.nu + l}) of basis element "
                     f"{b.pretty()} leaves the basis"
                 )
-            m[target][j] = m[target][j] + c
+            m[target][j] = c  # the terms of one image have distinct (mu2, l)
     return m
-
-
-def matrix_mul(a, b):
-    n = len(a)
-    return [
-        [sum((a[i][k] * b[k][j] for k in range(n)), start=a[0][0].spec.zero()) for j in range(n)]
-        for i in range(n)
-    ]
-
-
-def identity_matrix(spec, n):
-    zero, one = spec.zero(), spec.one()
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
 def _wild_levels(d: TowerDescriptor):
@@ -118,25 +99,27 @@ def nilpotency_check(d: TowerDescriptor) -> bool:
     """(sigma_i - 1)^{mu_i} z^mu = mu_i! * z^{mu, i -> 0}, one more kills it.
 
     Checked for every reduced monomial z^mu and every wild level i by
-    repeated application of the shift automorphism.
+    repeated application of the shift automorphism to {mu: c} dicts over F_q.
     """
     spec = d.field
-    bounds = [s.degree for s in d.steps]
-    for mu in product(*(range(b) for b in bounds)):
-        for i in _wild_levels(d):
-            h = [0] * d.r
-            h[i] = 1
-            u = AlgebraElement.monomial(spec, mu)
+    zero = spec.zero()
+    levels = [(i, monomial_images(d, [int(j == i) for j in range(d.r)])) for i in _wild_levels(d)]
+
+    def minus_one(image, u):
+        out = {}
+        for mu, c in u.items():
+            for mu2, c2 in image(mu).items():
+                out[mu2] = out.get(mu2, zero) + c * c2
+            out[mu] = out.get(mu, zero) - c
+        return {mu: c for mu, c in out.items() if not c.is_zero()}
+
+    for mu in product(*(range(s.degree) for s in d.steps)):
+        for i, image in levels:
+            u = {mu: spec.one()}
             for _ in range(mu[i]):
-                u = apply_automorphism(d, u, h) - u
-            dropped = list(mu)
-            dropped[i] = 0
-            expected = AlgebraElement.monomial(
-                spec, dropped, RatFun.constant(spec, factorial(mu[i]) % spec.p)
-            )
-            if u != expected:
-                return False
-            if not (apply_automorphism(d, u, h) - u).is_zero():
+                u = minus_one(image, u)
+            dropped = mu[:i] + (0,) + mu[i + 1 :]
+            if u != {dropped: spec.element(factorial(mu[i]))} or minus_one(image, u):
                 return False
     return True
 
@@ -277,8 +260,9 @@ def submodule_generators(d: TowerDescriptor, mu, nu: int, profile=None):
         raise ParseError(f"(mu={mu}, nu={nu}) does not index a basis element")
     spec = d.field
     g_mu = Poly.one(spec)
-    for P, lam in _lambda_map(profile, mu).items():
-        g_mu = g_mu * P.poly**lam
+    for P, tp in profile.items():
+        if not P.is_infinite:
+            g_mu = g_mu * P.poly ** lambda_rho(tp, mu)[0]
     coeff = RatFun(Poly.x(spec) ** nu, g_mu)
     wild = set(_wild_levels(d))
     ranges = [range(mu[i], mu[i] + 1) if i not in wild else range(mu[i] + 1) for i in range(d.r)]

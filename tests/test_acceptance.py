@@ -9,6 +9,7 @@ import time
 import pytest
 
 from conftest import load_fixture
+from reference import identity_matrix, matrix_mul
 from towerdiff.algebra import AlgebraElement, alg_mul, valuation
 from towerdiff.basis import (
     BasisElement,
@@ -26,8 +27,6 @@ from towerdiff.ff import FieldSpec
 from towerdiff.galois import (
     action_matrix,
     cyclic_decomposition,
-    identity_matrix,
-    matrix_mul,
     nilpotency_check,
 )
 from towerdiff.places import Place

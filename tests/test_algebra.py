@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+from reference import square_and_multiply_image
 from towerdiff.algebra import (
     AlgebraElement,
     alg_mul,
@@ -154,25 +155,6 @@ def test_automorphism_rejects_dependent_levels():
     y1 = AlgebraElement.monomial(F3, (1,))
     with pytest.raises(UnsupportedAction):
         apply_automorphism(d, y1, [1, 0])
-
-
-def square_and_multiply_image(d, a, h):
-    """sigma(a) from the images of the y_i raised by alg_pow, multiplied by alg_mul."""
-    spec = d.field
-    images = []
-    for i, step in enumerate(d.steps):
-        y = AlgebraElement.monomial(spec, [0] * i + [1])
-        if step.kind == "kummer":
-            images.append(y.scale(RatFun.constant(spec, spec.nth_root_of_unity(step.n) ** h[i])))
-        else:
-            images.append(y + h[i])
-    out = AlgebraElement.zero(spec)
-    for exps, coeff in a.terms.items():
-        term = AlgebraElement.from_ratfun(coeff)
-        for i, e in enumerate(exps):
-            term = alg_mul(d.steps, term, alg_pow(d.steps, images[i], e))
-        out = out + term
-    return out
 
 
 def test_automorphism_closed_form_matches_square_and_multiply(fixtures):

@@ -252,3 +252,30 @@ def test_cli_group_order_beyond_primality_bound_is_a_parse_error(capsys, tmp_pat
     code, out = run(capsys, "act", "--element", "1", "--input", str(cubic_tower(tmp_path, 10000000001573)))
     assert code == 1
     assert json.loads(out)["error"] == "parse_error"
+
+
+def test_cli_act_refuses_a_genus_above_the_cap(capsys, tmp_path):
+    # y^p - y = 1/x^2 over F_10007 has g = 5003, above MAX_ACTION_GENUS = 3000
+    f = tmp_path / "large_genus.json"
+    f.write_text(json.dumps({"field": {"p": 10007},
+                             "steps": [{"kind": "artin_schreier",
+                                        "c": {"num": [1], "den": [0, 0, 1]}}]}))
+    t0 = time.perf_counter()
+    code, out = run(capsys, "act", "--element", "1", "--input", str(f))
+    assert time.perf_counter() - t0 < 2.0
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["error"] == "unsupported_action"
+    assert "5003" in doc["detail"] and "3000" in doc["detail"]
+
+
+def test_cli_act_checks_the_element_on_a_genus_zero_tower(capsys, tmp_path):
+    # y^5 - y = 1/x has genus 0, so there is no basis to act on, but the element is still checked
+    f = tmp_path / "genus0.json"
+    f.write_text(json.dumps({"field": {"p": 5},
+                             "steps": [{"kind": "artin_schreier", "c": {"num": [1], "den": [0, 1]}}]}))
+    code, out = run(capsys, "act", "--element", "1", "--input", str(f))
+    assert (code, json.loads(out)) == (0, {"matrix": []})
+    code, out = run(capsys, "act", "--element", "1,2,3", "--input", str(f))
+    assert code == 1
+    assert json.loads(out)["error"] == "parse_error"

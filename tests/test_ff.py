@@ -1,6 +1,7 @@
 """Finite field arithmetic: exactness, inverses, roots, generators."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -42,6 +43,24 @@ def test_inverse_roundtrip_everywhere():
             if a.is_zero():
                 continue
             assert a * a.inverse() == spec.one()
+
+
+@pytest.mark.parametrize("spec, sample", [
+    (FieldSpec(17, 2, [1, 1, 1]), None),
+    (FieldSpec(2, 9, [1, 0, 0, 0, 0, 0, 0, 0, 1, 1]), None),
+    (FieldSpec(257, 2, [1, 1, 1]), 400),
+])
+def test_extended_euclid_inverse_matches_fermat(spec, sample):
+    # q > 2^8: no tables, so inverse runs extended Euclid on the coordinates
+    assert spec._tab is None
+    if sample is None:
+        elements = [a for a in spec.elements() if not a.is_zero()]
+    else:
+        rng = random.Random(257)
+        elements = [spec.element([rng.randrange(1, spec.p), rng.randrange(spec.p)])
+                    for _ in range(sample)]
+    for a in elements:
+        assert a.inverse() == a ** (spec.q - 2), a
 
 
 def test_division_by_zero():

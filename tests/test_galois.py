@@ -2,22 +2,23 @@
 
 import pytest
 
+from reference import identity_matrix, matrix_mul, reference_action_matrix
+from towerdiff import galois
 from towerdiff.basis import enumerate_basis
 from towerdiff.errors import ParseError, UnsupportedAction
 from towerdiff.ff import FieldSpec
 from towerdiff.galois import (
     action_matrix,
     cyclic_decomposition,
-    identity_matrix,
-    matrix_mul,
     nilpotency_check,
     submodule_generators,
 )
-from towerdiff.poly import Poly
-from towerdiff.tower import StepSpec, TowerDescriptor, genus
+from towerdiff.poly import Poly, RatFun
+from towerdiff.tower import StepSpec, TowerDescriptor, genus, validate
 
 F3 = FieldSpec(3)
 F5 = FieldSpec(5)
+F7 = FieldSpec(7)
 
 
 def as_ints(m):
@@ -153,3 +154,80 @@ def test_submodule_span_is_stable(fixtures):
             img = apply_automorphism(d, g, h)
             for exps in img.terms:
                 assert tuple(exps) in monos
+
+
+def _as_step(spec, poles):
+    """y^p - y = sum of 1/(x - b)^m over the (b, m) in poles."""
+    x = Poly.x(spec)
+    c = RatFun.zero(spec)
+    for b, m in poles:
+        c = c + RatFun(Poly.one(spec), (x - Poly.constant(spec, b)) ** m)
+    return StepSpec("artin_schreier", c)
+
+
+def _kummer_step(spec, n, roots):
+    """y^n = prod of (x - b)^e over the (b, e) in roots."""
+    x = Poly.x(spec)
+    c = Poly.one(spec)
+    for b, e in roots:
+        c = c * (x - Poly.constant(spec, b)) ** e
+    return StepSpec("kummer", c, n)
+
+
+# elementary-abelian, Kummer-then-Artin-Schreier and one-step Artin-Schreier
+# towers over F_5 and F_7, with their genera
+SHAPES = {
+    "ea_f5": (F5, [_as_step(F5, [(0, 2)]), _as_step(F5, [(1, 1)])], 26),
+    "ea_f7": (F7, [_as_step(F7, [(0, 3)]), _as_step(F7, [(1, 3)])], 120),
+    "ka_f5": (F5, [_kummer_step(F5, 2, [(0, 1), (1, 1)]), _as_step(F5, [(2, 3)])], 12),
+    "ka_f7": (F7, [_kummer_step(F7, 3, [(0, 1), (1, 2)]), _as_step(F7, [(2, 2), (3, 1)])], 39),
+    "as_f5": (F5, [_as_step(F5, [(0, 3), (1, 2)])], 10),
+    "as_f7": (F7, [_as_step(F7, [(0, 2), (1, 4)])], 18),
+}
+
+
+def shape_towers():
+    out = {}
+    for name, (spec, steps, g) in SHAPES.items():
+        d = TowerDescriptor(spec, steps)
+        assert validate(d).passed and genus(d) == g, name
+        out[name] = d
+    return out
+
+
+def test_action_matrix_matches_ratfun_reference(fixtures):
+    towers = dict(fixtures, **shape_towers())
+    for name, d in towers.items():
+        for i in range(d.r):
+            h = [0] * d.r
+            h[i] = 1
+            assert action_matrix(d, h) == reference_action_matrix(d, h), (name, h)
+    assert max(genus(d) for d in towers.values()) > 100
+
+
+def test_nilpotency_on_shapes():
+    for name, d in shape_towers().items():
+        assert nilpotency_check(d), name
+
+
+def test_nilpotency_fails_on_a_wrong_image_coefficient(fixtures, monkeypatch):
+    # add 1 to one coefficient of the first image with more than one term
+    real = galois.monomial_images
+    changed = []
+
+    def corrupted(d, h):
+        image = real(d, h)
+
+        def wrong(mu):
+            out = dict(image(mu))
+            if not changed and len(out) > 1:
+                key = min(out)
+                out[key] = out[key] + 1
+                changed.append((mu, key))
+            return out
+
+        return wrong
+
+    monkeypatch.setattr(galois, "monomial_images", corrupted)
+    assert not nilpotency_check(fixtures["as_genus2_f3"])
+    assert changed

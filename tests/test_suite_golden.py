@@ -2,10 +2,12 @@
 
 For every tower of `random_towers(200)` and every stress descriptor below, the
 sha256 of exit code and stdout of `validate`, `analyze`, `genus` and
-`basis --check` is pinned in tests/golden/suite_digests.json. Digests keep the
-file small; a mismatch names the tower and subcommand, and the full output is
-recomputed with `towerdiff <subcommand> --input <file>`. To rewrite the file
-after an intended output change, run
+`basis --check` is pinned in tests/golden/suite_digests.json. For the towers
+among them of genus at most GALOIS_MAX_GENUS, the digests of `act` on every
+generator and of `decompose` are pinned in tests/golden/galois_digests.json.
+Digests keep the files small; a mismatch names the tower and subcommand, and
+the full output is recomputed with `towerdiff <subcommand> --input <file>`. To
+rewrite both files after an intended output change, run
 `PYTHONPATH=src:tests python tests/test_suite_golden.py`.
 """
 
@@ -18,8 +20,12 @@ from pathlib import Path
 
 from towerdiff import jsonio
 from towerdiff.cli import main
+from towerdiff.errors import TowerDiffError
+from towerdiff.tower import genus
 
 GOLDEN = Path(__file__).parent / "golden" / "suite_digests.json"
+GALOIS_GOLDEN = Path(__file__).parent / "golden" / "galois_digests.json"
+GALOIS_MAX_GENUS = 60
 
 SUBCOMMANDS = (["validate"], ["analyze"], ["genus"], ["basis", "--check"])
 
@@ -80,18 +86,57 @@ def compute(suite):
             for name, text in descriptors(suite)}
 
 
-def test_suite_digests_unchanged(suite):
-    expected = json.loads(GOLDEN.read_text())
-    got = compute(suite)
+def galois_commands(text):
+    """`act` on each generator, then `decompose`, for one descriptor."""
+    r = len(json.loads(text)["steps"])
+    elements = [",".join("1" if j == i else "0" for j in range(r)) for i in range(r)]
+    return [["act", "--element", e] for e in elements] + [["decompose"]]
+
+
+def compute_galois(named_texts):
+    return {name: {" ".join(argv): digest(text, argv) for argv in galois_commands(text)}
+            for name, text in named_texts}
+
+
+def galois_towers(suite):
+    """(name, text) of the towers with a genus of at most GALOIS_MAX_GENUS."""
+    out = []
+    for name, text in descriptors(suite):
+        try:
+            g = genus(jsonio.descriptor_from_json(json.loads(text)))
+        except TowerDiffError:
+            continue
+        if g <= GALOIS_MAX_GENUS:
+            out.append((name, text))
+    return out
+
+
+def check_digests(expected, got):
     assert list(got) == list(expected)
     wrong = [(name, cmd) for name, cmds in expected.items()
-             for cmd, h in cmds.items() if got[name][cmd] != h]
+             for cmd, h in cmds.items() if got[name].get(cmd) != h]
     assert not wrong, f"{len(wrong)} outputs changed, first: {wrong[:5]}"
+
+
+def test_suite_digests_unchanged(suite):
+    check_digests(json.loads(GOLDEN.read_text()), compute(suite))
+
+
+def test_galois_digests_unchanged(suite):
+    # the golden names the towers of genus <= GALOIS_MAX_GENUS; their genus
+    # outputs are pinned above, so the selection is not recomputed here
+    expected = json.loads(GALOIS_GOLDEN.read_text())
+    texts = dict(descriptors(suite))
+    check_digests(expected, compute_galois((name, texts[name]) for name in expected))
 
 
 if __name__ == "__main__":
     from conftest import random_towers
 
-    records = compute(random_towers(200))
+    suite = random_towers(200)
+    records = compute(suite)
     GOLDEN.write_text(json.dumps(records, indent=1) + "\n")
     print(f"wrote {len(records)} towers x {len(SUBCOMMANDS)} subcommands to {GOLDEN}")
+    galois = compute_galois(galois_towers(suite))
+    GALOIS_GOLDEN.write_text(json.dumps(galois, indent=1) + "\n")
+    print(f"wrote act and decompose on {len(galois)} towers to {GALOIS_GOLDEN}")
